@@ -46,7 +46,6 @@ from .vocabulary import (
     TERM_KINDS,
     VALID_CONCEPTS,
     Catalog,
-    application_slo_terms,
     load_builtin_catalog,
 )
 
@@ -82,16 +81,6 @@ def _load_catalog(overlay_path: str | None) -> Catalog:
         return catalog.merge(Catalog.from_json(text))
     except SlaError as exc:
         raise _CliFailure(2, f"bad catalog overlay {overlay_path}: {exc}") from None
-
-
-def _effective_vocab_view(catalog: Catalog) -> Catalog:
-    # The vocab subcommands also surface application-level terms; the
-    # overlay must still win, so layer builtin < application < overlay by
-    # rebuilding from the builtin side.
-    builtin = load_builtin_catalog()
-    return builtin.merge(application_slo_terms()).merge(
-        e for e in catalog if builtin.lookup(e.term, e.concept) != e
-    )
 
 
 def _parse_sla(path: str) -> SlaDocument:
@@ -137,7 +126,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_vocab(args) -> int:
-    catalog = _effective_vocab_view(_load_catalog(args.catalog))
+    catalog = _load_catalog(args.catalog)
     if args.vocab_cmd == "list":
         if args.concept is not None and args.concept not in VALID_CONCEPTS:
             raise _CliFailure(2, f"unknown concept: {args.concept}")
@@ -181,10 +170,9 @@ def _cmd_vocab(args) -> int:
         print(f"description:    {entry.description}")
         return 0
 
-    # export: the builtin tables plus any overlay, without the
-    # application pseudo-concept terms.
-    exported = _load_catalog(args.catalog)
-    text = exported.to_json()
+    # export: the builtin tables plus any overlay; to_json leaves out the
+    # builtin application terms beneath them.
+    text = catalog.to_json()
     if args.output is None or args.output == "-":
         print(text)
     else:

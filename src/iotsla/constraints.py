@@ -207,14 +207,18 @@ def _compare(comparator: str, left: Fraction, right: Fraction) -> bool:
     raise ValueError(f"unknown comparator: {comparator!r}")
 
 
-def _to_canonical(value: TypedValue, canonical_unit: str, what: str) -> Fraction:
-    # A missing unit means "already in the metric's canonical unit".
-    if value.unit is None or value.unit == canonical_unit:
+def to_canonical(value: TypedValue, entry, what: str) -> Fraction:
+    """Numeric ``value`` in the canonical unit of vocabulary ``entry``.
+
+    A missing unit means "already canonical".  A unit of another family
+    raises :class:`UnitMismatchError`, naming ``what`` and the term.
+    """
+    if value.unit is None or value.unit == entry.canonical_unit:
         return value.magnitude
     try:
-        return convert(value.magnitude, value.unit, canonical_unit)
+        return convert(value.magnitude, value.unit, entry.canonical_unit)
     except IncompatibleUnitsError as exc:
-        raise UnitMismatchError(f"{what}: {exc}") from None
+        raise UnitMismatchError(f"{what} for {entry.term!r}: {exc}") from None
 
 
 def check_constraint_against_value(constraint, value: TypedValue, entry) -> str:
@@ -240,8 +244,8 @@ def check_constraint_against_value(constraint, value: TypedValue, entry) -> str:
             raise TypeMismatchError(
                 f"{entry.term}: numeric metric observed as {value.tag} value"
             )
-        want = _to_canonical(bound, entry.canonical_unit, "constraint")
-        got = _to_canonical(value, entry.canonical_unit, "observed value")
+        want = to_canonical(bound, entry, "constraint")
+        got = to_canonical(value, entry, "observed value")
         ok = _compare(constraint.comparator, got, want)
         return SATISFIED if ok else VIOLATED
 

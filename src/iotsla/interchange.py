@@ -27,7 +27,6 @@ uses the stdlib parser with Fraction number hooks.
 from __future__ import annotations
 
 import json
-import re
 from datetime import date
 from decimal import Decimal
 from fractions import Fraction
@@ -51,11 +50,9 @@ from .model import (
     WorkflowActivity,
     build_document,
 )
-from .parser import KEYWORDS
+from .parser import KEYWORDS, _IDENT_RE
 
 __all__ = ["to_interchange", "from_interchange", "emit_json"]
-
-_IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 
 # -- writing -----------------------------------------------------------------

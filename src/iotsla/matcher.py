@@ -25,14 +25,12 @@ from .constraints import (
     UNSPECIFIED,
     VIOLATED,
     TypedValue,
-    convert,
     decimal_repr,
+    to_canonical,
 )
 from .errors import (
-    IncompatibleUnitsError,
     SchemaViolationError,
     TypeMismatchError,
-    UnitMismatchError,
 )
 from .model import MetricConstraint
 from .vocabulary import Catalog, VocabularyEntry, VALID_CONCEPTS
@@ -87,15 +85,6 @@ def decimal_str_or_fraction(value: Fraction) -> str:
         return decimal_repr(value)
     except DomainError:
         return f"{value.numerator}/{value.denominator}"
-
-
-def _to_canonical(value: TypedValue, entry: VocabularyEntry, what: str) -> Fraction:
-    if value.unit is None or value.unit == entry.canonical_unit:
-        return value.magnitude
-    try:
-        return convert(value.magnitude, value.unit, entry.canonical_unit)
-    except IncompatibleUnitsError as exc:
-        raise UnitMismatchError(f"{what} for {entry.term!r}: {exc}") from None
 
 
 def _delivered_interval(
@@ -162,8 +151,8 @@ def satisfies_capability(
             raise TypeMismatchError(
                 f"{entry.term}: numeric metric needs numeric constraint and capability"
             )
-        threshold = _to_canonical(constraint.value, entry, "constraint unit")
-        bound = _to_canonical(capability, entry, "offer unit")
+        threshold = to_canonical(constraint.value, entry, "constraint unit")
+        bound = to_canonical(capability, entry, "offer unit")
         lo, hi = _delivered_interval(bound, entry)
         ok = _interval_satisfies(constraint.comparator, lo, hi, threshold)
         return SATISFIED if ok else VIOLATED
@@ -185,6 +174,23 @@ def _weight_of(weights: Mapping[str, Fraction | int] | None, metric: str) -> Fra
     return weight
 
 
+def _score(
+    requirements: list[MetricConstraint],
+    verdicts: Iterable[str],
+    weights: Mapping[str, Fraction | int] | None,
+) -> Fraction:
+    total = Fraction(0)
+    satisfied = Fraction(0)
+    for constraint, verdict in zip(requirements, verdicts):
+        weight = _weight_of(weights, constraint.metric)
+        total += weight
+        if verdict == SATISFIED:
+            satisfied += weight
+    if total == 0:
+        return Fraction(1)
+    return satisfied / total
+
+
 def score_offer(
     requirements: Iterable[MetricConstraint],
     offer: ProviderOffer,
@@ -196,16 +202,9 @@ def score_offer(
     Metrics missing from ``weights`` weigh 1.  With no requirements at all
     there is nothing to fail, so the score is 1.
     """
-    total = Fraction(0)
-    satisfied = Fraction(0)
-    for constraint in requirements:
-        weight = _weight_of(weights, constraint.metric)
-        total += weight
-        if satisfies_capability(constraint, offer, catalog) == SATISFIED:
-            satisfied += weight
-    if total == 0:
-        return Fraction(1)
-    return satisfied / total
+    requirements = list(requirements)
+    verdicts = [satisfies_capability(c, offer, catalog) for c in requirements]
+    return _score(requirements, verdicts, weights)
 
 
 def rank_offers(
@@ -231,7 +230,7 @@ def rank_offers(
         verdicts = tuple(
             satisfies_capability(c, offer, catalog) for c in requirements
         )
-        scored.append((offer, verdicts, score_offer(requirements, offer, weights, catalog)))
+        scored.append((offer, verdicts, _score(requirements, verdicts, weights)))
 
     scored.sort(key=lambda item: (-item[2], item[0].provider_id))
     reports: list[MatchReport] = []

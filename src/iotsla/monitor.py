@@ -19,20 +19,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .constraints import (
     SATISFIED,
     TypedValue,
     check_constraint_against_value,
-    convert,
     mean,
+    to_canonical,
 )
 from .errors import (
     DomainError,
     EmptyWindowError,
-    IncompatibleUnitsError,
     TelemetryFormatError,
+    UnitMismatchError,
 )
 from .model import (
     APP_TARGET,
@@ -46,7 +46,6 @@ from .vocabulary import (
     APPLICATION_CONCEPT,
     Catalog,
     VocabularyEntry,
-    application_slo_terms,
 )
 
 __all__ = [
@@ -241,14 +240,11 @@ def _as_window(window: EvaluationWindow | int | None) -> EvaluationWindow:
 
 def _canonical_magnitude(record: TelemetryRecord, entry: VocabularyEntry) -> Fraction | None:
     """Record's magnitude in the entry's canonical unit; None if unusable."""
-    value = record.value
-    if value.tag != "numeric":
+    if record.value.tag != "numeric":
         return None
-    if value.unit is None or value.unit == entry.canonical_unit:
-        return value.magnitude
     try:
-        return convert(value.magnitude, value.unit, entry.canonical_unit)
-    except IncompatibleUnitsError:
+        return to_canonical(record.value, entry, "observed value")
+    except UnitMismatchError:
         return None
 
 
@@ -306,7 +302,7 @@ def evaluate_window(
 
     events: list[ViolationEvent] = []
     for constraint in slo.constraints:
-        entry = _lookup_term(catalog, constraint.metric, concept)
+        entry = catalog.lookup(constraint.metric, concept)
         if entry is None:
             continue
         relevant = [
@@ -355,14 +351,6 @@ def evaluate_window(
                     )
     events.sort(key=lambda e: (e.window_start, e.constraint.metric))
     return events
-
-
-def _lookup_term(catalog: Catalog, term: str, concept: str) -> VocabularyEntry | None:
-    if concept == APPLICATION_CONCEPT:
-        for entry in application_slo_terms():
-            if entry.matches_term(term):
-                return entry
-    return catalog.lookup(term, concept)
 
 
 def availability_ratio(
@@ -438,9 +426,7 @@ def end_to_end_response(
     ]
     if not targets:
         return []
-    entry = next(
-        e for e in application_slo_terms() if e.term == "end_to_end_response_time"
-    )
+    entry = catalog.lookup("end_to_end_response_time", APPLICATION_CONCEPT)
 
     # activity id -> {window index -> max delay among its services}
     per_activity: dict[str, dict[int, Fraction]] = {}
@@ -513,7 +499,7 @@ def monitor_document(
         if concept is None:
             report.skipped_records += 1
             continue
-        if _lookup_term(catalog, record.metric, concept) is None:
+        if catalog.lookup(record.metric, concept) is None:
             report.skipped_records += 1
 
     events: list[ViolationEvent] = []

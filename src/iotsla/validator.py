@@ -15,20 +15,15 @@ from dataclasses import dataclass
 
 from .constraints import units_convertible
 from .model import (
-    APP_TARGET,
-    InfraResourceSpec,
     MetricConstraint,
-    ServiceSpec,
     SlaDocument,
     Slo,
     SourceSpan,
     concept_of_target,
 )
 from .vocabulary import (
-    APPLICATION_CONCEPT,
     Catalog,
     VocabularyEntry,
-    application_slo_terms,
     load_builtin_catalog,
 )
 
@@ -98,24 +93,6 @@ def format_diagnostic(diag: Diagnostic, filename: str = "<sla>") -> str:
     )
 
 
-def _effective_app_terms(catalog: Catalog) -> dict[str, VocabularyEntry]:
-    terms = {entry.term: entry for entry in application_slo_terms()}
-    for entry in catalog.applicable_terms(APPLICATION_CONCEPT):
-        terms[entry.term] = entry
-    return terms
-
-
-def _lookup(catalog: Catalog, app_terms: dict[str, VocabularyEntry],
-            term: str, concept: str) -> VocabularyEntry | None:
-    if concept == APPLICATION_CONCEPT:
-        entry = app_terms.get(term)
-        if entry is not None:
-            return entry
-        # aliases of overlay-provided application terms still resolve
-        return catalog.lookup(term, APPLICATION_CONCEPT)
-    return catalog.lookup(term, concept)
-
-
 def _constraint_type_mismatch(entry: VocabularyEntry, c: MetricConstraint) -> str | None:
     value = c.value
     if entry.value_type == "numeric":
@@ -143,7 +120,6 @@ def validate(doc: SlaDocument, catalog: Catalog | None = None) -> list[Diagnosti
     """
     if catalog is None:
         catalog = load_builtin_catalog()
-    app_terms = _effective_app_terms(catalog)
     findings: list[Diagnostic] = []
 
     def report(code: str, severity: str, message: str, span: SourceSpan, subject: str):
@@ -229,7 +205,7 @@ def validate(doc: SlaDocument, catalog: Catalog | None = None) -> list[Diagnosti
             )
             return
         for c in slo.constraints:
-            entry = _lookup(catalog, app_terms, c.metric, concept)
+            entry = catalog.lookup(c.metric, concept)
             if entry is None:
                 report(
                     "V006", ERROR,

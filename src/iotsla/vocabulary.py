@@ -150,6 +150,10 @@ class VocabularyEntry:
 class Catalog:
     """An immutable set of vocabulary entries with alias resolution.
 
+    Iteration, ``len``, :meth:`concepts` and :meth:`to_json` cover only the
+    catalog's own entries; :meth:`lookup` and :meth:`applicable_terms` also
+    see the builtin application terms beneath them.
+
     Integrity rules, checked at construction:
 
     * (term, concept) pairs are unique;
@@ -190,15 +194,27 @@ class Catalog:
         return iter(sorted(self._entries.values(), key=lambda e: (e.concept, e.term)))
 
     def lookup(self, term: str, concept: str) -> VocabularyEntry | None:
-        """Resolve a term (canonical or alias) within a concept, or None."""
+        """Resolve a term (canonical or alias) within a concept, or None.
+
+        Own canonical terms win, then own aliases, then, for ``application``,
+        the builtin :func:`application_slo_terms`.  Every layer resolves here.
+        """
         entry = self._entries.get((term, concept))
-        if entry is not None:
-            return entry
-        return self._alias_index.get((term, concept))
+        if entry is None:
+            entry = self._alias_index.get((term, concept))
+        if entry is None and concept == APPLICATION_CONCEPT:
+            entry = _application_terms_by_name().get(term)
+        return entry
 
     def applicable_terms(self, concept: str, kind: str | None = None) -> list[VocabularyEntry]:
-        """All entries for a concept, sorted by term, optionally by kind."""
+        """All entries for a concept, sorted by term, optionally by kind.
+
+        For ``application``, own entries replace same-named builtin ones.
+        """
         found = [e for e in self._entries.values() if e.concept == concept]
+        if concept == APPLICATION_CONCEPT:
+            own = {e.term for e in found}
+            found += [e for e in application_slo_terms() if e.term not in own]
         if kind is not None:
             found = [e for e in found if e.kind == kind]
         return sorted(found, key=lambda e: e.term)
@@ -264,7 +280,9 @@ def application_slo_terms() -> tuple[VocabularyEntry, ...]:
     """Metrics allowed in SLOs on the application as a whole.
 
     These live outside :func:`load_builtin_catalog` so the exported catalog
-    remains exactly the per-concept tables; validation merges them in.
+    remains exactly the per-concept tables.  Every :class:`Catalog` resolves
+    them beneath its own entries: builtin tables, then these terms, then any
+    overlay.
     """
     return tuple(
         VocabularyEntry(
@@ -279,3 +297,8 @@ def application_slo_terms() -> tuple[VocabularyEntry, ...]:
         )
         for term, vtype, unit, direction, agg, kind, desc in _catalog_data.APPLICATION_ROWS
     )
+
+
+@lru_cache(maxsize=1)
+def _application_terms_by_name() -> dict[str, VocabularyEntry]:
+    return {entry.term: entry for entry in application_slo_terms()}

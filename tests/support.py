@@ -1,6 +1,6 @@
 """Shared helpers for the test suite.
 
-Two things live here so several modules can reuse them without copying:
+Three things live here so several modules can reuse them without copying:
 
 * an *independent* evaluator for offer matching, used as the oracle the
   matcher must agree with.  It never builds delivered intervals; instead
@@ -9,6 +9,8 @@ Two things live here so several modules can reuse them without copying:
   witness sets below decide universal satisfaction exactly, so agreement
   with the matcher is meaningful evidence, not a tautology.
 * seeded random generators for SLA documents and matcher instances.
+* an overlay, agreement and telemetry on which the monitor's verdict
+  depends on the catalog layering.
 """
 
 from __future__ import annotations
@@ -56,6 +58,31 @@ _COMPARE = {
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text()
+
+
+# --- catalog layering ----------------------------------------------------------
+
+# Overlay entry: application ``accuracy`` folds by its worst sample instead
+# of the builtin mean.
+ACCURACY_MIN = {
+    "term": "accuracy", "concept": "application",
+    "description": "accuracy of the worst output in the window",
+    "value_type": "numeric", "canonical_unit": "percent",
+    "direction": "higher_is_better", "aggregator": "min", "kind": "qos_metric",
+}
+
+# One window, two samples: the mean (90) meets ``accuracy >= 90 percent``,
+# the minimum (80) does not.
+ACCURACY_TELEMETRY = "0\tapp\taccuracy\t100 percent\n10\tapp\taccuracy\t80 percent\n"
+
+
+def with_accuracy_slo(sla_text: str) -> str:
+    """The agreement plus an application SLO ``accuracy >= 90 percent``.
+
+    The new SLO goes before the agreement's first one, where SLOs belong.
+    """
+    slo = "slo app_accuracy on app {\n  accuracy >= 90 percent\n}\n\n"
+    return sla_text.replace("\nslo ", "\n" + slo + "slo ", 1)
 
 
 # --- independent matcher oracle ---------------------------------------------

@@ -13,7 +13,12 @@ import pytest
 
 from iotsla.cli import main
 
-from support import FIXTURES
+from support import (
+    ACCURACY_MIN,
+    ACCURACY_TELEMETRY,
+    FIXTURES,
+    with_accuracy_slo,
+)
 
 
 def fx(name):
@@ -231,6 +236,21 @@ def _ndjson_chunks(text):
         if line == "}":
             yield "\n".join(chunk)
             chunk = []
+
+
+def test_monitor_uses_catalog_overlay(capsys, tmp_path, rhms_text):
+    sla = tmp_path / "accuracy.sla"
+    sla.write_text(with_accuracy_slo(rhms_text))
+    telemetry = tmp_path / "accuracy.telemetry"
+    telemetry.write_text(ACCURACY_TELEMETRY)
+    overlay = tmp_path / "overlay.json"
+    overlay.write_text(json.dumps([ACCURACY_MIN]))
+    code, out, _ = run(capsys, "monitor", str(sla), str(telemetry),
+                       "--catalog", str(overlay), "--json")
+    assert code == 1
+    events = [json.loads(chunk) for chunk in _ndjson_chunks(out)]
+    assert events[-1]["summary"]["violations"] == 1
+    assert (events[0]["slo_id"], events[0]["observed"]) == ("app_accuracy", 80)
 
 
 def test_monitor_stdin(capsys, monkeypatch):

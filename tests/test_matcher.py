@@ -18,6 +18,7 @@ from iotsla import (
     rank_offers,
     satisfies_capability,
 )
+from iotsla import matcher
 from iotsla.matcher import render_report_table, score_offer
 
 from support import (
@@ -169,6 +170,20 @@ def test_empty_requirements_score_one(catalog):
     assert report.score == 1 and report.rank == 1
 
 
+def test_rank_offers_computes_each_verdict_once(catalog, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return satisfies_capability(*args)
+
+    monkeypatch.setattr(matcher, "satisfies_capability", counting)
+    reqs = [_constraint("latency", "<=", 5), _constraint("availability", ">=", 99)]
+    offers = [_offer(latency=4), _offer(latency=6, availability=100), _offer()]
+    rank_offers(reqs, offers, {"latency": 2}, catalog)
+    assert len(calls) == len(offers) * len(reqs)
+
+
 def test_mixed_concepts_rejected(catalog):
     offers = [
         ProviderOffer("a", "ingestion", {}),
@@ -193,6 +208,15 @@ def test_load_offer_resolves_aliases(catalog):
     }
     offer = load_offer(json.dumps(raw), catalog)
     assert "sampling_rate" in offer.capabilities
+
+
+def test_load_offer_for_the_application_concept(catalog):
+    raw = {
+        "provider_id": "p", "concept": "application",
+        "capabilities": [{"metric": "availability", "value": 99.9, "unit": "percent"}],
+    }
+    offer = load_offer(json.dumps(raw), catalog)
+    assert offer.capabilities["availability"].value == Fraction(999, 10)
 
 
 @pytest.mark.parametrize("damage", [

@@ -28,7 +28,12 @@ from iotsla.monitor import (
     parse_telemetry,
 )
 
-from support import fixture_text
+from support import (
+    ACCURACY_MIN,
+    ACCURACY_TELEMETRY,
+    fixture_text,
+    with_accuracy_slo,
+)
 
 
 def _records(name):
@@ -295,6 +300,17 @@ def test_alias_metric_names_match(catalog):
     ]
     events = evaluate_window(slo, records, 60, catalog, concept="sensing")
     assert len(events) == 1
+
+
+def test_overlay_aggregator_reaches_the_monitor(rhms_text):
+    doc = parse(with_accuracy_slo(rhms_text))
+    records, _ = parse_telemetry(ACCURACY_TELEMETRY)
+    assert monitor_document(doc, records).violations == []  # builtin mean: 90
+    overlay = [VocabularyEntry.from_dict(ACCURACY_MIN)]
+    report = monitor_document(doc, records, 60, load_builtin_catalog().merge(overlay))
+    assert [(e.slo_id, e.observed.value) for e in report.violations] == [
+        ("app_accuracy", 80),
+    ]
 
 
 def test_custom_window_width(rhms_doc):

@@ -14,6 +14,8 @@ from iotsla import (
 )
 from iotsla.vocabulary import APPLICATION_CONCEPT, VALID_CONCEPTS
 
+from support import ACCURACY_MIN
+
 # entries per concept group in the builtin catalog
 EXPECTED_COUNTS = {
     "iot_device": 12,
@@ -69,6 +71,21 @@ def test_application_terms_live_outside_builtin(catalog):
     for entry in app:
         assert entry.concept == APPLICATION_CONCEPT
     assert all(e.concept != APPLICATION_CONCEPT for e in catalog)
+
+
+def test_application_terms_are_the_bottom_layer(catalog):
+    builtin = {e.term: e for e in application_slo_terms()}
+    assert catalog.lookup("accuracy", APPLICATION_CONCEPT) is builtin["accuracy"]
+    own = VocabularyEntry.from_dict({**ACCURACY_MIN, "aliases": ["output_accuracy"]})
+    merged = catalog.merge([own])
+    assert merged.lookup("accuracy", APPLICATION_CONCEPT) is own
+    assert merged.lookup("output_accuracy", APPLICATION_CONCEPT) is own
+    assert merged.applicable_terms(APPLICATION_CONCEPT) == [
+        own, builtin["availability"], builtin["end_to_end_response_time"],
+    ]
+    # only the catalog's own entries are iterated and exported
+    assert list(merged) == sorted([*catalog, own], key=lambda e: (e.concept, e.term))
+    assert merged.concepts() == [*catalog.concepts(), APPLICATION_CONCEPT]
 
 
 def test_applicable_terms_sorted_and_filtered(catalog):
