@@ -27,6 +27,7 @@ uses the stdlib parser with Fraction number hooks.
 from __future__ import annotations
 
 import json
+import re
 from datetime import date
 from decimal import Decimal
 from fractions import Fraction
@@ -244,12 +245,19 @@ def _want_object(value: Any, pointer: str) -> dict:
     return value
 
 
+# The text parser's date token; ``date.fromisoformat`` alone also takes
+# ``20260101`` and ISO week dates on Python 3.11+.
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def _want_date(data: dict, key: str, pointer: str) -> date:
     raw = _want_str(data, key, pointer)
-    try:
-        return date.fromisoformat(raw)
-    except ValueError:
-        raise SchemaViolationError(f"{pointer}/{key}", "must be a YYYY-MM-DD date") from None
+    if _DATE_RE.fullmatch(raw):
+        try:
+            return date.fromisoformat(raw)
+        except ValueError:
+            pass
+    raise SchemaViolationError(f"{pointer}/{key}", "must be a YYYY-MM-DD date")
 
 
 def _check_keys(data: dict, allowed: set[str], pointer: str):

@@ -1,4 +1,4 @@
-"""Evaluate SLOs against timestamped telemetry.
+"""Evaluate SLOs against timestamped telemetry in one pass.
 
 Time is abstract: timestamps are non-negative integer offsets in
 ``time_unit``.  Evaluation uses tumbling windows aligned at t=0 (default
@@ -6,12 +6,24 @@ width 60), so every record influences exactly one window.  A window with
 no samples for a metric produces no verdict: missing telemetry is a
 coverage problem, reported separately, never an SLO breach.
 
+Evaluation is one fold over the records.  An index built once per call
+maps each target to its concept and each (target, term) to the
+constraints watching it.  Each record is resolved by dictionary lookup,
+put into canonical units at most once and folded into one exact
+accumulator per (target, term, window); time-family samples also update
+each requiring activity's per-window maximum.  Constraints are checked
+afterwards, once per window with samples: O(records + windows ×
+constraints).  The accumulators merge in any order, so results do not
+depend on record order.
+
 Aggregation per window follows the metric's catalog aggregator: ``max``
 for worst-case metrics like latency, ``mean`` for utilization-like ones,
 ``ratio`` for availability/loss style metrics (boolean samples fold to the
 percentage of true ones, numeric samples to their mean), plus ``min`` and
 ``sum``.  Metrics with aggregator ``none`` fall back to the mean when
-numeric; non-numeric metrics are checked sample by sample.
+numeric; non-numeric metrics are checked sample by sample against the
+samples of their own kind (booleans for boolean metrics, text for
+textual ones); other samples are ignored.
 """
 
 from __future__ import annotations
@@ -19,34 +31,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from typing import Callable, Iterable
 
-from .constraints import (
-    SATISFIED,
-    TypedValue,
-    check_constraint_against_value,
-    mean,
-    to_canonical,
-)
-from .errors import (
-    DomainError,
-    EmptyWindowError,
-    TelemetryFormatError,
-    UnitMismatchError,
-)
-from .model import (
-    APP_TARGET,
-    MetricConstraint,
-    SlaDocument,
-    Slo,
-    concept_of_target,
-    services_for_activity,
-)
-from .vocabulary import (
-    APPLICATION_CONCEPT,
-    Catalog,
-    VocabularyEntry,
-)
+from .constraints import SATISFIED, TypedValue, check_constraint_against_value, to_canonical
+from .errors import DomainError, EmptyWindowError, TelemetryFormatError, UnitMismatchError
+from .model import APP_TARGET, MetricConstraint, SlaDocument, Slo
+from .vocabulary import APPLICATION_CONCEPT, Catalog, VocabularyEntry, load_builtin_catalog
 
 __all__ = [
     "AVAILABILITY_STATE_METRIC",
@@ -74,6 +65,13 @@ AVAILABILITY_STATE_METRIC = "availability_state"
 LATENCY_FAMILY = frozenset(
     {"latency", "network_delay", "gateway_delay", "response_time", "data_freshness"}
 )
+
+# Application metric computed from the activities rather than sampled.
+_E2E_METRIC = "end_to_end_response_time"
+
+# Sample tags a non-numeric metric is checked against, by value type.
+_COMPARABLE_TAGS = {"boolean": ("boolean",), "enumerated": ("enumerated", "text"),
+                    "text": ("enumerated", "text")}
 
 
 @dataclass(frozen=True)
@@ -177,11 +175,13 @@ def _parse_value_field(text: str) -> TypedValue | None:
         return TypedValue.boolean(text == "true")
     parts = text.split(" ")
     if _NUMBER_RE.match(parts[0]):
-        if len(parts) == 1:
-            return TypedValue.numeric(Fraction(parts[0]))
-        if len(parts) == 2 and parts[1]:
-            return TypedValue.numeric(Fraction(parts[0]), parts[1])
-        return None
+        if len(parts) > 2 or (len(parts) == 2 and not parts[1]):
+            return None
+        try:
+            magnitude = Fraction(parts[0])
+        except ValueError:  # more digits than Python's int conversion allows
+            return None
+        return TypedValue.numeric(magnitude, parts[1] if len(parts) == 2 else None)
     if len(parts) == 1 and text:
         return TypedValue.text(text)
     return None
@@ -227,7 +227,7 @@ def parse_telemetry(source: str | Iterable[str]) -> tuple[list[TelemetryRecord],
     return records, skipped
 
 
-# -- windowed evaluation -------------------------------------------------------
+# -- the fold -------------------------------------------------------------------
 
 
 def _as_window(window: EvaluationWindow | int | None) -> EvaluationWindow:
@@ -238,35 +238,176 @@ def _as_window(window: EvaluationWindow | int | None) -> EvaluationWindow:
     return window
 
 
-def _canonical_magnitude(record: TelemetryRecord, entry: VocabularyEntry) -> Fraction | None:
-    """Record's magnitude in the entry's canonical unit; None if unusable."""
-    if record.value.tag != "numeric":
-        return None
-    try:
-        return to_canonical(record.value, entry, "observed value")
-    except UnitMismatchError:
-        return None
+class _Index:
+    """Routes for records and the constraints watching them, built once.
+
+    ``homes``: record target -> (home target, concept), one home for ``app``
+    and the document id; ``watchers``: (home, term) -> [(position, slo,
+    constraint, entry)] in declaration order; ``members``: service ->
+    positions of the activities requiring it, filled only for ``e2e``.
+    """
+
+    def __init__(self, catalog: Catalog, homes: dict[str, tuple[str, str]]):
+        self.catalog, self.homes = catalog, homes
+        self.watchers: dict[tuple[str, str], list] = {}
+        self.e2e: list[tuple[int, Slo, MetricConstraint]] = []
+        self.activities: tuple[str, ...] = ()
+        self.members: dict[str, list[int]] = {}
+        self.positions = count()
+
+    def watch(self, home: str, concept: str, slo: Slo, constraint: MetricConstraint):
+        position = next(self.positions)
+        entry = self.catalog.lookup(constraint.metric, concept)
+        if entry is not None:
+            self.watchers.setdefault((home, entry.term), []).append(
+                (position, slo, constraint, entry))
+
+    def route(self, target_id: str, metric: str, entries: dict):
+        """(entry, watched key or None, activity positions); None if unknown."""
+        if target_id not in self.homes:
+            return None
+        home, concept = self.homes[target_id]
+        if (metric, concept) not in entries:
+            entries[metric, concept] = self.catalog.lookup(metric, concept)
+        entry = entries[metric, concept]
+        if entry is None:
+            return None
+        watched = (home, entry.term) if (home, entry.term) in self.watchers else None
+        members = self.members.get(target_id, ()) if entry.term in LATENCY_FAMILY else ()
+        return entry, watched, members
 
 
-def _fold_numeric(entry: VocabularyEntry, samples: list[Fraction],
-                  booleans: list[bool]) -> Fraction | None:
-    aggregator = entry.aggregator
-    if aggregator == "ratio" and booleans and not samples:
-        return Fraction(100) * sum(booleans) / len(booleans)
-    if not samples:
-        return None
-    if aggregator == "max":
-        return max(samples)
-    if aggregator == "min":
-        return min(samples)
-    if aggregator == "sum":
-        return sum(samples, Fraction(0))
-    # mean, ratio over numeric samples, and the "none" fallback
-    return mean(samples)
+def _document_index(doc: SlaDocument, catalog: Catalog) -> _Index:
+    homes = {r.id: (r.id, r.kind) for r in doc.resources}
+    homes.update((s.id, (s.id, s.kind)) for s in doc.services)
+    homes[doc.id] = homes[APP_TARGET] = (APP_TARGET, APPLICATION_CONCEPT)
+    index = _Index(catalog, homes)
+    for slo in doc.app_slos:
+        for constraint in slo.constraints:
+            if constraint.metric == _E2E_METRIC:
+                index.e2e.append((next(index.positions), slo, constraint))
+            else:
+                index.watch(APP_TARGET, APPLICATION_CONCEPT, slo, constraint)
+    for owner in (*doc.services, *doc.resources):
+        for slo in owner.slos:
+            for constraint in slo.constraints:
+                index.watch(owner.id, owner.kind, slo, constraint)
+    if index.e2e:
+        index.activities = tuple(a.id for a in doc.activities)
+        declared = {s.id for s in doc.services}
+        for position, activity in enumerate(doc.activities):
+            for ref in dict.fromkeys(activity.required_services):
+                if ref in declared:
+                    index.members.setdefault(ref, []).append(position)
+    return index
 
 
-def _boolean_sort_key(value: TypedValue) -> str:
-    return str(value.value)
+def _accumulate(states: dict, key: tuple, entry: VocabularyEntry, value: TypedValue,
+                magnitude: Fraction | None, timestamp: int) -> None:
+    """Fold one sample into its (home, term, window) state: for numeric
+    metrics ``[max | min | sum, samples, trues, booleans]`` (booleans only
+    for ``ratio``), else each comparable value's earliest timestamp."""
+    if entry.value_type != "numeric":
+        if value.tag in _COMPARABLE_TAGS[entry.value_type]:
+            firsts = states.setdefault(key, {})
+            firsts[value] = min(timestamp, firsts.get(value, timestamp))
+    elif magnitude is not None:
+        state = states.setdefault(key, [magnitude, 0, 0, 0])
+        aggregator = entry.aggregator
+        if not state[1] or (aggregator == "max" and magnitude > state[0]) or (
+                aggregator == "min" and magnitude < state[0]):
+            state[0] = magnitude
+        elif aggregator not in ("max", "min"):
+            state[0] += magnitude
+        state[1] += 1
+    elif value.tag == "boolean" and entry.aggregator == "ratio":
+        state = states.setdefault(key, [None, 0, 0, 0])
+        state[2] += value.value
+        state[3] += 1
+
+
+def _first_offender(constraint: MetricConstraint, entry: VocabularyEntry,
+                    firsts: dict[TypedValue, int]) -> TypedValue | None:
+    """The earliest sample breaking ``constraint``, ties broken by value."""
+    offending = [v for v in firsts
+                 if check_constraint_against_value(constraint, v, entry) != SATISFIED]
+    return min(offending, key=lambda v: (firsts[v], str(v.value), v.tag), default=None)
+
+
+def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationWindow):
+    """Read the records once, then check each watcher once per window.
+
+    Returns (events by window then position, coverage gaps, records,
+    records with an unknown target or a metric unknown for its concept).
+    """
+    routes: dict[tuple[str, str], tuple | None] = {}  # (target id, metric) -> route
+    entries: dict[tuple[str, str], VocabularyEntry | None] = {}  # (metric, concept) -> entry
+    states: dict[tuple[str, str, int], list | dict] = {}  # (home, term, window) -> state
+    maxima: dict[int, list[Fraction | None]] = {}  # window -> per-activity maximum
+    seen = skipped = 0
+    width = window.width
+    for record in records:
+        seen += 1
+        key = (record.target_id, record.metric)
+        if key not in routes:
+            routes[key] = index.route(*key, entries)
+        if routes[key] is None:
+            skipped += 1
+            continue
+        entry, watched, members = routes[key]
+        value, slot = record.value, record.timestamp // width
+        magnitude = None
+        if value.tag == "numeric" and (watched or members):
+            try:
+                magnitude = to_canonical(value, entry, "observed value")
+            except UnitMismatchError:
+                pass
+        if watched:
+            _accumulate(states, (*watched, slot), entry, value, magnitude, record.timestamp)
+        if members and magnitude is not None:
+            peaks = maxima.get(slot) or maxima.setdefault(slot, [None] * len(index.activities))
+            for position in members:
+                if peaks[position] is None or magnitude > peaks[position]:
+                    peaks[position] = magnitude
+
+    events = []
+    for (home, term, slot), state in states.items():
+        watchers = index.watchers[home, term]
+        entry = watchers[0][3]
+        if entry.value_type == "numeric":
+            folded, samples, trues, booleans = state
+            if not samples:  # ratio over boolean samples only
+                folded = Fraction(100) * trues / booleans
+            elif entry.aggregator not in ("max", "min", "sum"):  # mean, ratio, none
+                folded = folded / samples
+            observed = TypedValue.numeric(folded, entry.canonical_unit)
+        for position, slo, constraint, _ in watchers:
+            culprit = None
+            if entry.value_type != "numeric":
+                culprit = _first_offender(constraint, entry, state)
+            elif check_constraint_against_value(constraint, observed, entry) != SATISFIED:
+                culprit = observed
+            if culprit is not None:
+                event = ViolationEvent(*window.bounds(slot), slo.id, constraint, culprit)
+                events.append((slot, position, event))
+
+    gaps = []
+    e2e_entry = index.catalog.lookup(_E2E_METRIC, APPLICATION_CONCEPT)
+    for slot in sorted(maxima):
+        start, end = window.bounds(slot)
+        gaps += [CoverageGap(start, end, activity_id,
+                             f"no time samples for activity '{activity_id}' in this window")
+                 for activity_id, peak in zip(index.activities, maxima[slot]) if peak is None]
+        total = sum((peak for peak in maxima[slot] if peak is not None), Fraction(0))
+        observed = TypedValue.numeric(total, e2e_entry.canonical_unit)
+        events += [(slot, position, ViolationEvent(start, end, slo.id, constraint, observed))
+                   for position, slo, constraint in index.e2e
+                   if check_constraint_against_value(constraint, observed, e2e_entry) != SATISFIED]
+    events.sort(key=lambda item: item[:2])
+    return [event for _, _, event in events], gaps, seen, skipped
+
+
+# -- windowed evaluation ----------------------------------------------------------
 
 
 def evaluate_window(
@@ -287,70 +428,19 @@ def evaluate_window(
     to the SLO's own target.
 
     Records that do not match the target and metric, or whose values
-    cannot be read in the metric's canonical unit, are ignored here;
-    :func:`monitor_document` counts them.
+    cannot be read in the metric's canonical unit, are ignored; only
+    :func:`monitor_document` counts those with an unknown target or metric.
     """
-    window = _as_window(window)
     if concept is None:
-        if slo.target == APP_TARGET:
-            concept = APPLICATION_CONCEPT
-        else:
+        if slo.target != APP_TARGET:
             raise ValueError("concept is required for SLOs on a service or resource")
-    if target_ids is None:
-        target_ids = {slo.target}
-    records = sorted(records, key=lambda r: r.timestamp)
-
-    events: list[ViolationEvent] = []
+        concept = APPLICATION_CONCEPT
+    targets = {slo.target} if target_ids is None else target_ids
+    index = _Index(catalog, {target: (slo.target, concept) for target in targets})
     for constraint in slo.constraints:
-        entry = catalog.lookup(constraint.metric, concept)
-        if entry is None:
-            continue
-        relevant = [
-            r for r in records
-            if r.target_id in target_ids and entry.matches_term(r.metric)
-        ]
-        if not relevant:
-            continue
-        by_window: dict[int, list[TelemetryRecord]] = {}
-        for record in relevant:
-            by_window.setdefault(window.index_of(record.timestamp), []).append(record)
-
-        for index in sorted(by_window):
-            start, end = window.bounds(index)
-            group = by_window[index]
-            if entry.value_type == "numeric":
-                numerics = [
-                    m for r in group
-                    if (m := _canonical_magnitude(r, entry)) is not None
-                ]
-                booleans = [r.value.value for r in group if r.value.tag == "boolean"]
-                folded = _fold_numeric(entry, numerics, booleans)
-                if folded is None:
-                    continue
-                observed = TypedValue.numeric(folded, entry.canonical_unit)
-                verdict = check_constraint_against_value(constraint, observed, entry)
-                if verdict != SATISFIED:
-                    events.append(ViolationEvent(start, end, slo.id, constraint, observed))
-            else:
-                # Non-numeric metrics have nothing to fold; every sample in
-                # the window must satisfy the constraint.  The reported
-                # value is the earliest offending sample (ties broken by
-                # value) so results do not depend on input order.
-                offending = [
-                    r for r in group
-                    if r.value.tag != "numeric"
-                    and check_constraint_against_value(constraint, r.value, entry) != SATISFIED
-                ]
-                if offending:
-                    first = min(
-                        offending,
-                        key=lambda r: (r.timestamp, _boolean_sort_key(r.value)),
-                    )
-                    events.append(
-                        ViolationEvent(start, end, slo.id, constraint, first.value)
-                    )
-    events.sort(key=lambda e: (e.window_start, e.constraint.metric))
-    return events
+        index.watch(slo.target, concept, slo, constraint)
+    events = _fold(index, records, _as_window(window))[0]
+    return sorted(events, key=lambda e: (e.window_start, e.constraint.metric))
 
 
 def availability_ratio(
@@ -416,58 +506,11 @@ def end_to_end_response(
     contributes 0 and reports a coverage gap.  Windows with no time-family
     samples anywhere are skipped entirely.
     """
-    window = _as_window(window)
-    records = list(records)
-    targets = [
-        (slo, constraint)
-        for slo in doc.app_slos
-        for constraint in slo.constraints
-        if constraint.metric == "end_to_end_response_time"
-    ]
-    if not targets:
-        return []
-    entry = catalog.lookup("end_to_end_response_time", APPLICATION_CONCEPT)
-
-    # activity id -> {window index -> max delay among its services}
-    per_activity: dict[str, dict[int, Fraction]] = {}
-    seen_windows: set[int] = set()
-    for activity in doc.activities:
-        services = services_for_activity(doc, activity.id)
-        maxima: dict[int, Fraction] = {}
-        for service in services:
-            for record in records:
-                if record.target_id != service.id:
-                    continue
-                metric_entry = catalog.lookup(record.metric, service.kind)
-                if metric_entry is None or metric_entry.term not in LATENCY_FAMILY:
-                    continue
-                magnitude = _canonical_magnitude(record, metric_entry)
-                if magnitude is None:
-                    continue
-                index = window.index_of(record.timestamp)
-                seen_windows.add(index)
-                if index not in maxima or magnitude > maxima[index]:
-                    maxima[index] = magnitude
-        per_activity[activity.id] = maxima
-
-    events: list[ViolationEvent] = []
-    for index in sorted(seen_windows):
-        start, end = window.bounds(index)
-        total = Fraction(0)
-        for activity in doc.activities:
-            maxima = per_activity[activity.id]
-            if index in maxima:
-                total += maxima[index]
-            elif on_coverage_gap is not None:
-                on_coverage_gap(CoverageGap(
-                    start, end, activity.id,
-                    f"no time samples for activity '{activity.id}' in this window",
-                ))
-        observed = TypedValue.numeric(total, entry.canonical_unit)
-        for slo, constraint in targets:
-            verdict = check_constraint_against_value(constraint, observed, entry)
-            if verdict != SATISFIED:
-                events.append(ViolationEvent(start, end, slo.id, constraint, observed))
+    index = _document_index(doc, catalog)
+    index.watchers.clear()
+    events, gaps, _, _ = _fold(index, records, _as_window(window))
+    for gap in gaps if on_coverage_gap is not None else ():
+        on_coverage_gap(gap)
     return events
 
 
@@ -477,65 +520,21 @@ def monitor_document(
     window: EvaluationWindow | int | None = None,
     catalog: Catalog | None = None,
 ) -> MonitorReport:
-    """Run every SLO in the document against a telemetry set.
+    """Run every SLO in the document against a telemetry set, in one pass.
 
     Returns the violations (ordered by window, then SLO, then metric), the
     coverage gaps found while summing end-to-end response time, and the
-    number of records that matched no known (target, metric) pair.
+    number of records whose target is unknown or whose metric is unknown
+    for the target's concept.
     """
-    from .vocabulary import load_builtin_catalog
-
     if catalog is None:
         catalog = load_builtin_catalog()
-    window = _as_window(window)
-    records = list(records)
-
-    report = MonitorReport()
-    if not records:
-        report.coverage_gaps.append(CoverageGap(None, None, None, "no telemetry records"))
-
-    for record in records:
-        concept = concept_of_target(doc, record.target_id)
-        if concept is None:
-            report.skipped_records += 1
-            continue
-        if catalog.lookup(record.metric, concept) is None:
-            report.skipped_records += 1
-
-    events: list[ViolationEvent] = []
-    for slo in doc.app_slos:
-        report.slo_violation_counts.setdefault(slo.id, 0)
-        plain = [c for c in slo.constraints if c.metric != "end_to_end_response_time"]
-        if plain:
-            partial = Slo(slo.id, slo.target, tuple(plain), slo.span)
-            events.extend(evaluate_window(
-                partial, records, window, catalog,
-                concept=APPLICATION_CONCEPT,
-                target_ids={doc.id, APP_TARGET},
-            ))
-    events.extend(end_to_end_response(
-        doc, records, window, catalog,
-        on_coverage_gap=report.coverage_gaps.append,
-    ))
-    for service in doc.services:
-        for slo in service.slos:
-            report.slo_violation_counts.setdefault(slo.id, 0)
-            events.extend(evaluate_window(
-                slo, records, window, catalog, concept=service.kind,
-                target_ids={service.id},
-            ))
-    for resource in doc.resources:
-        for slo in resource.slos:
-            report.slo_violation_counts.setdefault(slo.id, 0)
-            events.extend(evaluate_window(
-                slo, records, window, catalog, concept=resource.kind,
-                target_ids={resource.id},
-            ))
-
+    events, gaps, seen, skipped = _fold(_document_index(doc, catalog), records, _as_window(window))
+    if not seen:
+        gaps.insert(0, CoverageGap(None, None, None, "no telemetry records"))
+    owned = (slo for owner in (*doc.services, *doc.resources) for slo in owner.slos)
+    counts = dict.fromkeys((slo.id for slo in (*doc.app_slos, *owned)), 0)
     events.sort(key=lambda e: (e.window_start, e.slo_id, e.constraint.metric))
-    report.violations = events
     for event in events:
-        report.slo_violation_counts[event.slo_id] = (
-            report.slo_violation_counts.get(event.slo_id, 0) + 1
-        )
-    return report
+        counts[event.slo_id] += 1
+    return MonitorReport(events, gaps, skipped, counts)

@@ -76,13 +76,20 @@ ACCURACY_MIN = {
 ACCURACY_TELEMETRY = "0\tapp\taccuracy\t100 percent\n10\tapp\taccuracy\t80 percent\n"
 
 
-def with_accuracy_slo(sla_text: str) -> str:
-    """The agreement plus an application SLO ``accuracy >= 90 percent``.
+def with_slo(sla_text: str, slo: str) -> str:
+    """The agreement plus ``slo``, put before its first SLO, where SLOs belong."""
+    return sla_text.replace("\nslo ", "\n" + slo + "\n\nslo ", 1)
 
-    The new SLO goes before the agreement's first one, where SLOs belong.
-    """
-    slo = "slo app_accuracy on app {\n  accuracy >= 90 percent\n}\n\n"
-    return sla_text.replace("\nslo ", "\n" + slo + "slo ", 1)
+
+def with_accuracy_slo(sla_text: str) -> str:
+    """The agreement plus an application SLO ``accuracy >= 90 percent``."""
+    return with_slo(sla_text, "slo app_accuracy on app {\n  accuracy >= 90 percent\n}")
+
+
+# A boolean objective on a service, and a text sample for it that the
+# monitor cannot compare with ``true`` and so ignores.
+ENCRYPTION_SLO = "slo enc on ingest_svc {\n  data_encryption_support == true\n}"
+ENCRYPTION_TELEMETRY = "5\tingest_svc\tdata_encryption_support\tyes\n"
 
 
 # --- independent matcher oracle ---------------------------------------------

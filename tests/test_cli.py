@@ -16,8 +16,11 @@ from iotsla.cli import main
 from support import (
     ACCURACY_MIN,
     ACCURACY_TELEMETRY,
+    ENCRYPTION_SLO,
+    ENCRYPTION_TELEMETRY,
     FIXTURES,
     with_accuracy_slo,
+    with_slo,
 )
 
 
@@ -251,6 +254,16 @@ def test_monitor_uses_catalog_overlay(capsys, tmp_path, rhms_text):
     events = [json.loads(chunk) for chunk in _ndjson_chunks(out)]
     assert events[-1]["summary"]["violations"] == 1
     assert (events[0]["slo_id"], events[0]["observed"]) == ("app_accuracy", 80)
+
+
+def test_monitor_ignores_incomparable_samples(capsys, tmp_path, rhms_text):
+    sla = tmp_path / "encryption.sla"
+    sla.write_text(with_slo(rhms_text, ENCRYPTION_SLO))
+    telemetry = tmp_path / "encryption.telemetry"
+    telemetry.write_text(ENCRYPTION_TELEMETRY)
+    code, out, err = run(capsys, "monitor", str(sla), str(telemetry))
+    assert code == 0 and "0 violation(s)" in out
+    assert "Traceback" not in err
 
 
 def test_monitor_stdin(capsys, monkeypatch):

@@ -92,3 +92,14 @@ def test_not_even_json():
         from_interchange(b"\xff\xfe")
     with pytest.raises(SchemaViolationError):
         from_interchange("[]")
+
+
+@pytest.mark.parametrize("raw", ["20260101", "2026-W01-1", "2026-01-01\n"])
+def test_dates_must_have_the_text_form(rhms_doc, raw):
+    # Python 3.11+ date.fromisoformat accepts the first two; the text
+    # parser and Python 3.10 do not, so neither does the interchange form.
+    data = json.loads(to_interchange(rhms_doc))
+    data["start_date"] = raw
+    with pytest.raises(SchemaViolationError) as info:
+        from_interchange(json.dumps(data))
+    assert info.value.pointer == "/start_date"

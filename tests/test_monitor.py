@@ -31,8 +31,11 @@ from iotsla.monitor import (
 from support import (
     ACCURACY_MIN,
     ACCURACY_TELEMETRY,
+    ENCRYPTION_SLO,
+    ENCRYPTION_TELEMETRY,
     fixture_text,
     with_accuracy_slo,
+    with_slo,
 )
 
 
@@ -83,6 +86,20 @@ def test_framing_errors_are_fatal(line, line_no):
     with pytest.raises(TelemetryFormatError) as info:
         parse_telemetry(line)
     assert info.value.line_no == line_no
+
+
+@pytest.mark.parametrize("value", ["9" * 5000, "1." + "9" * 5000, "9" * 5000 + " ms"],
+                         ids=["integer", "decimal", "with_unit"])
+def test_over_long_values_are_unreadable(value):
+    # beyond Python's int digit limit: a counted skip, not a ValueError
+    records, skipped = parse_telemetry(f"1\tt\tm\t{value}\n2\tt\tm\t5\n")
+    assert len(records) == 1 and skipped == 1
+
+
+def test_over_long_timestamp_is_a_format_error():
+    with pytest.raises(TelemetryFormatError) as info:
+        parse_telemetry("9" * 5000 + "\tt\tm\t5")
+    assert info.value.line_no == 1
 
 
 def test_blank_lines_skipped():
@@ -311,6 +328,18 @@ def test_overlay_aggregator_reaches_the_monitor(rhms_text):
     assert [(e.slo_id, e.observed.value) for e in report.violations] == [
         ("app_accuracy", 80),
     ]
+
+
+def test_incomparable_samples_on_non_numeric_metrics_ignored(rhms_text):
+    doc = parse(with_slo(rhms_text, ENCRYPTION_SLO))
+    records, _ = parse_telemetry(ENCRYPTION_TELEMETRY)
+    report = monitor_document(doc, records)
+    assert report.violations == [] and report.skipped_records == 0
+    # a boolean sample in the same window is still checked
+    records += [TelemetryRecord(6, "ingest_svc", "data_encryption_support",
+                                TypedValue.boolean(False))]
+    report = monitor_document(doc, records)
+    assert [(e.slo_id, e.observed.value) for e in report.violations] == [("enc", False)]
 
 
 def test_custom_window_width(rhms_doc):
