@@ -20,7 +20,6 @@ or SLO violations); 2 usage or I/O failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -31,14 +30,14 @@ from .errors import (
     SlaError,
     TelemetryFormatError,
 )
-from .interchange import emit_json
+from .interchange import _want_object, emit_json, read_json
 from .matcher import (
     decimal_str_or_fraction,
     load_offer,
     rank_offers,
     render_report_table,
 )
-from .model import SlaDocument, concept_of_target
+from .model import SlaDocument, owned_slos
 from .monitor import EvaluationWindow, monitor_document, parse_telemetry
 from .parser import parse, serialize
 from .validator import ERROR, format_diagnostic, validate
@@ -188,21 +187,12 @@ def _load_weights(path: str | None) -> dict[str, Fraction] | None:
         return None
     text = _read_text(path)
     try:
-        data = json.loads(text, parse_float=Fraction, parse_int=Fraction)
-    except (json.JSONDecodeError, ValueError) as exc:
+        weights = _want_object(read_json(text), "/")
+        for key, weight in weights.items():
+            if not isinstance(weight, Fraction) or weight <= 0:
+                raise SchemaViolationError(f"/{key}", "weight must be a positive number")
+    except SchemaViolationError as exc:
         raise _CliFailure(2, f"bad weights file {path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise _CliFailure(2, f"bad weights file {path}: must be a JSON object")
-    weights: dict[str, Fraction] = {}
-    for key, value in data.items():
-        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-            raise _CliFailure(2, f"bad weights file {path}: weight for {key!r} "
-                                 "must be a number")
-        weight = Fraction(value)
-        if weight <= 0:
-            raise _CliFailure(2, f"bad weights file {path}: weight for {key!r} "
-                                 "must be positive")
-        weights[key] = weight
     return weights
 
 
@@ -227,8 +217,8 @@ def _cmd_match(args) -> int:
 
     requirements = [
         constraint
-        for slo in doc.all_slos()
-        if concept_of_target(doc, slo.target) == concept
+        for _, owner_concept, slo in owned_slos(doc)
+        if owner_concept == concept
         for constraint in slo.constraints
     ]
     try:
@@ -264,8 +254,7 @@ def _cmd_monitor(args) -> int:
     except TelemetryFormatError as exc:
         raise _CliFailure(2, f"{args.telemetry}: {exc}") from None
 
-    window = EvaluationWindow(args.window)
-    report = monitor_document(doc, records, window, catalog)
+    report = monitor_document(doc, records, EvaluationWindow(args.window), catalog)
 
     def value_text(value) -> str:
         if value.tag == "numeric":
@@ -338,6 +327,12 @@ def _cmd_fmt(args) -> int:
 # -- argument plumbing ---------------------------------------------------------
 
 
+def _window_width(text: str) -> int:
+    if not (text.isdigit() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iotsla",
@@ -387,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_monitor = sub.add_parser("monitor", help="evaluate SLOs against telemetry")
     p_monitor.add_argument("sla", help="the agreement (.sla)")
     p_monitor.add_argument("telemetry", help="telemetry file, or - for stdin")
-    p_monitor.add_argument("--window", type=int, default=60,
+    p_monitor.add_argument("--window", type=_window_width, default=60,
                            help="tumbling window width in time units (default 60)")
     common(p_monitor)
     p_monitor.set_defaults(func=_cmd_monitor)

@@ -12,7 +12,9 @@ silently mix with wall-clock milliseconds.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -45,6 +47,11 @@ COMPARATORS = ("<", "<=", ">", ">=", "==")
 
 # Value tags a TypedValue may carry.
 VALUE_TAGS = ("numeric", "boolean", "enumerated", "text")
+
+# Sample tags each value type compares against: textual metrics take
+# both enumerated and text values.
+COMPARABLE_TAGS = {"numeric": ("numeric",), "boolean": ("boolean",),
+                   "enumerated": ("enumerated", "text"), "text": ("enumerated", "text")}
 
 # Constraint verdicts.  UNSPECIFIED only appears in matching, where an offer
 # may simply not mention a metric.
@@ -255,15 +262,30 @@ def check_constraint_against_value(constraint, value: TypedValue, entry) -> str:
             f"{entry.term}: {entry.value_type} metric only supports '==', "
             f"got {constraint.comparator!r}"
         )
-    if entry.value_type == "boolean":
-        if bound.tag != "boolean" or value.tag != "boolean":
-            raise TypeMismatchError(f"{entry.term}: boolean metric needs boolean values")
-        return SATISFIED if value.value == bound.value else VIOLATED
-
-    # enumerated and text both compare as tokens
-    if bound.tag not in ("enumerated", "text") or value.tag not in ("enumerated", "text"):
-        raise TypeMismatchError(f"{entry.term}: textual metric needs textual values")
+    tags = COMPARABLE_TAGS[entry.value_type]
+    if bound.tag not in tags or value.tag not in tags:
+        kind = "boolean" if entry.value_type == "boolean" else "textual"
+        raise TypeMismatchError(f"{entry.term}: {kind} metric needs {kind} values")
     return SATISFIED if value.value == bound.value else VIOLATED
+
+
+def exact_number(text: str) -> Fraction:
+    """Exact value of a numeral such as ``12.5`` or JSON's ``-1.25e3``.
+
+    Raises ValueError, before any large arithmetic, when written out with
+    no exponent it has more digits than Python's int string limit (4300 by
+    default, and where the limit is off or absent), so :func:`decimal_repr`
+    can write back every number read here.
+    """
+    mantissa, _, exponent = text.lower().partition("e")
+    whole, _, fraction = mantissa.lstrip("-").partition(".")
+    if not (whole + fraction).strip("0"):
+        return Fraction(0)
+    point = len(whole) + int(exponent or 0)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if max(point, 1) + max(len(whole) + len(fraction) - point, 0) > limit:
+        raise ValueError(f"number too long: more than {limit} digits")
+    return Fraction(Decimal(text))
 
 
 def decimal_repr(value: Magnitude) -> str:

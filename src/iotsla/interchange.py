@@ -20,8 +20,9 @@ array of ``{"id", "target", "constraints"}`` so nothing is lost.
 Numbers are written with their exact decimal digits and read back as
 Fractions, so values like 99.95 survive any number of round trips
 unchanged.  Writing is done by a small emitter here rather than
-``json.dumps`` precisely to keep control of number formatting; reading
-uses the stdlib parser with Fraction number hooks.
+``json.dumps`` precisely to keep control of number formatting.  Reading
+goes through :func:`read_json`, the package's one JSON reader, which offers,
+weights and catalog overlays share.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ from __future__ import annotations
 import json
 import re
 from datetime import date
-from decimal import Decimal
 from fractions import Fraction
 from typing import Any
 
-from .constraints import COMPARATORS, TypedValue, decimal_repr
+from .constraints import COMPARATORS, TypedValue, decimal_repr, exact_number
 from .errors import DomainError, DuplicateIdError, SchemaViolationError
 from .model import (
     ACTIVITY_KINDS,
@@ -128,9 +128,7 @@ def _value_fields(value: TypedValue) -> dict:
         if value.unit is not None:
             fields["unit"] = value.unit
         return fields
-    if value.tag == "boolean":
-        return {"value": value.value}
-    # text and enumerated both become JSON strings
+    # booleans stay booleans; text and enumerated both become JSON strings
     return {"value": value.value}
 
 
@@ -200,9 +198,21 @@ def to_interchange(doc: SlaDocument) -> str:
 # -- reading -----------------------------------------------------------------
 
 
-def _parse_number(text: str) -> Fraction:
-    # Exact: go through Decimal so exponent notation stays precise.
-    return Fraction(Decimal(text))
+def read_json(text: str | bytes) -> Any:
+    """Decode ``str`` or UTF-8 ``bytes`` as JSON, numbers as exact Fractions.
+
+    Total: bad UTF-8, bad JSON, nesting too deep for the decoder and numbers
+    longer than :func:`~iotsla.constraints.exact_number` takes all raise
+    :class:`SchemaViolationError` at ``/``.
+    """
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        return json.loads(text, parse_float=exact_number, parse_int=exact_number)
+    except UnicodeDecodeError:
+        raise SchemaViolationError("/", "input is not valid UTF-8") from None
+    except (ValueError, RecursionError) as exc:
+        raise SchemaViolationError("/", f"invalid JSON: {exc}") from None
 
 
 def _want(data: dict, key: str, pointer: str) -> Any:
@@ -336,16 +346,7 @@ def from_interchange(text: str | bytes) -> SlaDocument:
     Raises :class:`SchemaViolationError` with a JSON-pointer path on any
     structural problem.  Semantic checks still belong to the validator.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError:
-            raise SchemaViolationError("/", "input is not valid UTF-8") from None
-    try:
-        data = json.loads(text, parse_float=_parse_number, parse_int=_parse_number)
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise SchemaViolationError("/", f"invalid JSON: {exc}") from None
-    data = _want_object(data, "/")
+    data = _want_object(read_json(text), "/")
     _check_keys(
         data,
         {"title", "id", "application_type", "start_date", "end_date", "parties",

@@ -15,12 +15,12 @@ of a guarantee is not a guarantee.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .constraints import (
+    COMPARABLE_TAGS,
     SATISFIED,
     UNSPECIFIED,
     VIOLATED,
@@ -28,9 +28,9 @@ from .constraints import (
     decimal_repr,
     to_canonical,
 )
-from .errors import (
-    SchemaViolationError,
-    TypeMismatchError,
+from .errors import DomainError, SchemaViolationError, TypeMismatchError, UnitMismatchError
+from .interchange import (
+    _check_keys, _read_typed_value, _want_list, _want_object, _want_str, read_json,
 )
 from .model import MetricConstraint
 from .vocabulary import Catalog, VocabularyEntry, VALID_CONCEPTS
@@ -79,8 +79,6 @@ class MatchReport:
 
 def decimal_str_or_fraction(value: Fraction) -> str:
     """Exact human-readable rendering: decimal when finite, else n/d."""
-    from .errors import DomainError
-
     try:
         return decimal_repr(value)
     except DomainError:
@@ -249,47 +247,25 @@ def load_offer(text: str | bytes, catalog: Catalog) -> ProviderOffer:
     Format: ``{"provider_id", "concept", "capabilities": [{"metric",
     "value", "unit"?}, ...]}``.  Raises :class:`SchemaViolationError` on
     structural problems, including capability terms the catalog does not
-    define for the offer's concept.
+    define for the offer's concept and values that do not fit their term's
+    value type or unit family.
     """
-    from .interchange import _parse_number, _read_typed_value  # shared readers
-
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError:
-            raise SchemaViolationError("/", "input is not valid UTF-8") from None
-    try:
-        data = json.loads(text, parse_float=_parse_number, parse_int=_parse_number)
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise SchemaViolationError("/", f"invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise SchemaViolationError("/", "offer must be an object")
-    for key in data:
-        if key not in ("provider_id", "concept", "capabilities"):
-            raise SchemaViolationError(f"/{key}", "unknown field")
-    provider_id = data.get("provider_id")
-    if not isinstance(provider_id, str) or not provider_id:
+    data = _want_object(read_json(text), "/")
+    _check_keys(data, {"provider_id", "concept", "capabilities"}, "")
+    provider_id = _want_str(data, "provider_id", "")
+    if not provider_id:
         raise SchemaViolationError("/provider_id", "must be a non-empty string")
-    concept = data.get("concept")
+    concept = _want_str(data, "concept", "")
     if concept not in VALID_CONCEPTS:
         raise SchemaViolationError(
             "/concept", f"must be one of {', '.join(VALID_CONCEPTS)}"
         )
-    raw_caps = data.get("capabilities")
-    if not isinstance(raw_caps, list):
-        raise SchemaViolationError("/capabilities", "must be an array")
 
     capabilities: dict[str, TypedValue] = {}
-    for i, item in enumerate(raw_caps):
+    for i, item in enumerate(_want_list(data, "capabilities", "")):
         pointer = f"/capabilities/{i}"
-        if not isinstance(item, dict):
-            raise SchemaViolationError(pointer, "must be an object")
-        for key in item:
-            if key not in ("metric", "value", "unit"):
-                raise SchemaViolationError(f"{pointer}/{key}", "unknown field")
-        metric = item.get("metric")
-        if not isinstance(metric, str):
-            raise SchemaViolationError(f"{pointer}/metric", "must be a string")
+        _check_keys(_want_object(item, pointer), {"metric", "value", "unit"}, pointer)
+        metric = _want_str(item, "metric", pointer)
         entry = catalog.lookup(metric, concept)
         if entry is None:
             raise SchemaViolationError(
@@ -299,7 +275,17 @@ def load_offer(text: str | bytes, catalog: Catalog) -> ProviderOffer:
             raise SchemaViolationError(
                 f"{pointer}/metric", f"duplicate capability for {entry.term!r}"
             )
-        capabilities[entry.term] = _read_typed_value(item, pointer)
+        value = _read_typed_value(item, pointer)
+        if value.tag not in COMPARABLE_TAGS[entry.value_type]:
+            raise SchemaViolationError(
+                f"{pointer}/value", f"{entry.term!r} is {entry.value_type}, not {value.tag}"
+            )
+        if value.tag == "numeric":
+            try:
+                to_canonical(value, entry, "offer unit")
+            except UnitMismatchError as exc:
+                raise SchemaViolationError(f"{pointer}/unit", str(exc)) from None
+        capabilities[entry.term] = value
     return ProviderOffer(provider_id, concept, capabilities)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Union
+from typing import Iterator, Union
 
 from .constraints import COMPARATORS, TypedValue
 from .errors import DuplicateIdError, UnknownActivityError
@@ -335,6 +335,18 @@ def services_for_activity(doc: SlaDocument, activity_id: str) -> list[ServiceSpe
         raise UnknownActivityError(activity_id)
     by_id = {s.id: s for s in doc.services}
     return [by_id[ref] for ref in activity.required_services if ref in by_id]
+
+
+def owned_slos(doc: SlaDocument) -> Iterator[tuple[str | None, str | None, Slo]]:
+    """Each SLO as (owner id, owner concept, slo), in :meth:`SlaDocument.all_slos`
+    order: ``app`` for application SLOs, None twice for unattached ones.
+
+    Linear, unlike calling :func:`concept_of_target` per SLO.
+    """
+    yield from ((APP_TARGET, "application", slo) for slo in doc.app_slos)
+    for owner in (*doc.services, *doc.resources):
+        yield from ((owner.id, owner.kind, slo) for slo in owner.slos)
+    yield from ((None, None, slo) for slo in doc.unattached_slos)
 
 
 def concept_of_target(doc: SlaDocument, target: str) -> str | None:

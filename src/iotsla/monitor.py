@@ -34,9 +34,11 @@ from fractions import Fraction
 from itertools import count
 from typing import Callable, Iterable
 
-from .constraints import SATISFIED, TypedValue, check_constraint_against_value, to_canonical
+from .constraints import (
+    COMPARABLE_TAGS, SATISFIED, TypedValue, check_constraint_against_value, to_canonical,
+)
 from .errors import DomainError, EmptyWindowError, TelemetryFormatError, UnitMismatchError
-from .model import APP_TARGET, MetricConstraint, SlaDocument, Slo
+from .model import APP_TARGET, MetricConstraint, SlaDocument, Slo, owned_slos
 from .vocabulary import APPLICATION_CONCEPT, Catalog, VocabularyEntry, load_builtin_catalog
 
 __all__ = [
@@ -68,10 +70,6 @@ LATENCY_FAMILY = frozenset(
 
 # Application metric computed from the activities rather than sampled.
 _E2E_METRIC = "end_to_end_response_time"
-
-# Sample tags a non-numeric metric is checked against, by value type.
-_COMPARABLE_TAGS = {"boolean": ("boolean",), "enumerated": ("enumerated", "text"),
-                    "text": ("enumerated", "text")}
 
 
 @dataclass(frozen=True)
@@ -166,7 +164,7 @@ class MonitorReport:
 
 # -- telemetry input ---------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?\Z")
+_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?\Z")
 
 
 def _parse_value_field(text: str) -> TypedValue | None:
@@ -212,6 +210,8 @@ def parse_telemetry(source: str | Iterable[str]) -> tuple[list[TelemetryRecord],
             )
         ts_text, target_id, metric, value_text = fields
         try:
+            if not (ts_text.isascii() and ts_text.lstrip("-").isdigit()):
+                raise ValueError
             timestamp = int(ts_text)
         except ValueError:
             raise TelemetryFormatError(line_no, f"bad timestamp {ts_text!r}") from None
@@ -282,16 +282,12 @@ def _document_index(doc: SlaDocument, catalog: Catalog) -> _Index:
     homes.update((s.id, (s.id, s.kind)) for s in doc.services)
     homes[doc.id] = homes[APP_TARGET] = (APP_TARGET, APPLICATION_CONCEPT)
     index = _Index(catalog, homes)
-    for slo in doc.app_slos:
+    for home, concept, slo in owned_slos(doc):
         for constraint in slo.constraints:
-            if constraint.metric == _E2E_METRIC:
+            if home == APP_TARGET and constraint.metric == _E2E_METRIC:
                 index.e2e.append((next(index.positions), slo, constraint))
-            else:
-                index.watch(APP_TARGET, APPLICATION_CONCEPT, slo, constraint)
-    for owner in (*doc.services, *doc.resources):
-        for slo in owner.slos:
-            for constraint in slo.constraints:
-                index.watch(owner.id, owner.kind, slo, constraint)
+            elif concept is not None:
+                index.watch(home, concept, slo, constraint)
     if index.e2e:
         index.activities = tuple(a.id for a in doc.activities)
         declared = {s.id for s in doc.services}
@@ -308,7 +304,7 @@ def _accumulate(states: dict, key: tuple, entry: VocabularyEntry, value: TypedVa
     metrics ``[max | min | sum, samples, trues, booleans]`` (booleans only
     for ``ratio``), else each comparable value's earliest timestamp."""
     if entry.value_type != "numeric":
-        if value.tag in _COMPARABLE_TAGS[entry.value_type]:
+        if value.tag in COMPARABLE_TAGS[entry.value_type]:
             firsts = states.setdefault(key, {})
             firsts[value] = min(timestamp, firsts.get(value, timestamp))
     elif magnitude is not None:

@@ -44,9 +44,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import date
-from fractions import Fraction
 
-from .constraints import COMPARATORS, TypedValue, decimal_repr
+from .constraints import COMPARATORS, TypedValue, decimal_repr, exact_number
 from .errors import ParseError
 from .model import (
     ACTIVITY_KINDS,
@@ -282,7 +281,10 @@ class _Parser:
         token = self.peek()
         if token.type == "number":
             self.advance()
-            magnitude = Fraction(token.text)
+            try:
+                magnitude = exact_number(token.text)
+            except ValueError as exc:
+                self.fail(str(exc), token)
             unit = self.maybe_unit()
             return TypedValue("numeric", magnitude, unit)
         if token.type == "ident" and token.text in ("true", "false"):

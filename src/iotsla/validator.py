@@ -13,14 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import units_convertible
-from .model import (
-    MetricConstraint,
-    SlaDocument,
-    Slo,
-    SourceSpan,
-    concept_of_target,
-)
+from .constraints import COMPARABLE_TAGS, units_convertible
+from .model import MetricConstraint, SlaDocument, Slo, SourceSpan, owned_slos
 from .vocabulary import (
     Catalog,
     VocabularyEntry,
@@ -94,20 +88,13 @@ def format_diagnostic(diag: Diagnostic, filename: str = "<sla>") -> str:
 
 
 def _constraint_type_mismatch(entry: VocabularyEntry, c: MetricConstraint) -> str | None:
-    value = c.value
-    if entry.value_type == "numeric":
-        if value.tag != "numeric":
-            return f"metric '{c.metric}' is numeric but the value is {value.tag}"
-        return None
-    if c.comparator != "==":
+    if entry.value_type != "numeric" and c.comparator != "==":
         return (
             f"metric '{c.metric}' is {entry.value_type}; "
             f"only '==' applies, not {c.comparator!r}"
         )
-    if entry.value_type == "boolean" and value.tag != "boolean":
-        return f"metric '{c.metric}' is boolean but the value is {value.tag}"
-    if entry.value_type in ("enumerated", "text") and value.tag not in ("enumerated", "text"):
-        return f"metric '{c.metric}' is {entry.value_type} but the value is {value.tag}"
+    if c.value.tag not in COMPARABLE_TAGS[entry.value_type]:
+        return f"metric '{c.metric}' is {entry.value_type} but the value is {c.value.tag}"
     return None
 
 
@@ -194,8 +181,7 @@ def validate(doc: SlaDocument, catalog: Catalog | None = None) -> list[Diagnosti
 
     # V006/V007/V008: every constraint must use a term the target's concept
     # knows, with a convertible unit and a type-compatible comparator/value.
-    def check_slo(slo: Slo):
-        concept = concept_of_target(doc, slo.target)
+    def check_slo(slo: Slo, concept: str | None):
         if concept is None:
             report(
                 "V006", ERROR,
@@ -222,19 +208,12 @@ def validate(doc: SlaDocument, catalog: Catalog | None = None) -> list[Diagnosti
                         f"the canonical unit of '{c.metric}'",
                         c.span, slo.id,
                     )
-            elif c.value.tag != "numeric" and c.value.unit is not None:
-                # unreachable through the parser, defensive for API users
-                report(
-                    "V007", ERROR,
-                    f"non-numeric value for '{c.metric}' cannot carry a unit",
-                    c.span, slo.id,
-                )
             mismatch = _constraint_type_mismatch(entry, c)
             if mismatch is not None:
                 report("V008", ERROR, mismatch, c.span, slo.id)
 
-    for slo in doc.all_slos():
-        check_slo(slo)
+    for _, concept, slo in owned_slos(doc):
+        check_slo(slo, concept)
 
     # V009: unknown configuration terms are tolerated but flagged.
     for entity in (*doc.services, *doc.resources):

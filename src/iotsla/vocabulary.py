@@ -20,6 +20,7 @@ from typing import Iterable, Iterator
 from . import _catalog_data
 from .constraints import KNOWN_UNITS
 from .errors import SchemaViolationError, VocabularyIntegrityError
+from .interchange import _check_keys, _want_list, _want_object, _want_str, read_json
 
 __all__ = [
     "TABLE_CONCEPTS",
@@ -116,33 +117,15 @@ class VocabularyEntry:
 
     @classmethod
     def from_dict(cls, data: dict, pointer: str = "") -> "VocabularyEntry":
-        required = ("term", "concept", "description", "value_type",
-                    "canonical_unit", "direction", "aggregator", "kind")
-        if not isinstance(data, dict):
-            raise SchemaViolationError(pointer or "/", "entry must be an object")
-        for key in data:
-            if key not in required and key != "aliases":
-                raise SchemaViolationError(f"{pointer}/{key}", "unknown field")
-        for key in required:
-            if key not in data:
-                raise SchemaViolationError(f"{pointer}/{key}", "missing field")
-            if not isinstance(data[key], str):
-                raise SchemaViolationError(f"{pointer}/{key}", "must be a string")
-        aliases = data.get("aliases", [])
-        if not isinstance(aliases, list) or not all(isinstance(a, str) for a in aliases):
+        fields = ("term", "concept", "description", "value_type",
+                  "canonical_unit", "direction", "aggregator", "kind")
+        _check_keys(_want_object(data, pointer or "/"), {*fields, "aliases"}, pointer)
+        values = {key: _want_str(data, key, pointer) for key in fields}
+        aliases = _want_list(data, "aliases", pointer, default=[])
+        if not all(isinstance(a, str) for a in aliases):
             raise SchemaViolationError(f"{pointer}/aliases", "must be a list of strings")
         try:
-            return cls(
-                term=data["term"],
-                concept=data["concept"],
-                description=data["description"],
-                value_type=data["value_type"],
-                canonical_unit=data["canonical_unit"],
-                direction=data["direction"],
-                aggregator=data["aggregator"],
-                kind=data["kind"],
-                aliases=tuple(aliases),
-            )
+            return cls(**values, aliases=tuple(aliases))
         except ValueError as exc:
             raise SchemaViolationError(pointer or "/", str(exc)) from None
 
@@ -236,11 +219,9 @@ class Catalog:
         return json.dumps([e.to_dict() for e in self], indent=indent)
 
     @classmethod
-    def from_json(cls, text: str) -> "Catalog":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolationError("/", f"invalid JSON: {exc}") from None
+    def from_json(cls, text: str | bytes) -> "Catalog":
+        """Read a catalog (an overlay, say) from a JSON array of entries."""
+        data = read_json(text)
         if not isinstance(data, list):
             raise SchemaViolationError("/", "catalog must be a JSON array")
         entries = [

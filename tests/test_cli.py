@@ -204,7 +204,38 @@ def test_match_bad_weights(capsys, tmp_path):
     assert code == 2 and "weight" in err
 
 
+def test_match_takes_concepts_from_owners(capsys, monkeypatch):
+    def no_resolve(*_args):
+        raise AssertionError("resolve called")
+
+    monkeypatch.setattr("iotsla.model.resolve", no_resolve)
+    code, out, _ = run(capsys, "match", fx("procure.sla"), fx("alpha.offer.json"),
+                       fx("beta.offer.json"), "--json")
+    assert code == 0 and json.loads(out)["requirements"]
+
+
+@pytest.mark.parametrize("content,where", [
+    ('{"latency": 1e5000}', "too long"),
+    ('{"latency": true}', "/latency: weight must be a positive number"),
+], ids=["long_number", "not_a_number"])
+def test_match_weights_that_cannot_be_read(capsys, tmp_path, content, where):
+    weights = tmp_path / "w.json"
+    weights.write_text(content)
+    code, out, err = run(capsys, "match", fx("procure.sla"),
+                         fx("alpha.offer.json"), "--weights", str(weights))
+    assert code == 2 and out == ""
+    assert err.startswith(f"bad weights file {weights}: ") and where in err
+
+
 # --- monitor ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("width", ["0", "-5"])
+def test_monitor_window_must_be_positive(capsys, width):
+    code, out, err = run(capsys, "monitor", fx("rhms.sla"), fx("calm.telemetry"),
+                         "--window", width)
+    assert code == 2 and out == ""
+    assert "--window" in err and "positive" in err and "Traceback" not in err
+
 
 def test_monitor_calm(capsys):
     code, out, _ = run(capsys, "monitor", fx("rhms.sla"), fx("calm.telemetry"))

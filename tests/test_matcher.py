@@ -234,6 +234,23 @@ def test_load_offer_rejects_bad_shapes(catalog, damage):
         load_offer(json.dumps(data), catalog)
 
 
+@pytest.mark.parametrize("capability,pointer", [
+    ({"metric": "latency", "value": "fast"}, "/capabilities/1/value"),
+    ({"metric": "latency", "value": True}, "/capabilities/1/value"),
+    ({"metric": "latency", "value": 3, "unit": "gb"}, "/capabilities/1/unit"),
+    ({"metric": "latency", "value": 3, "unit": "parsec"}, "/capabilities/1/unit"),
+    # 1 == True in Python: a numeric 1 would satisfy "== true"
+    ({"metric": "data_compression_support", "value": 1}, "/capabilities/1/value"),
+    ({"metric": "data_compression_support", "value": "yes"}, "/capabilities/1/value"),
+])
+def test_load_offer_rejects_capabilities_that_do_not_fit(catalog, capability, pointer):
+    fits = {"metric": "throughput", "value": 5, "unit": "kb_per_s"}
+    raw = {"provider_id": "p", "concept": "ingestion", "capabilities": [fits, capability]}
+    with pytest.raises(SchemaViolationError) as info:
+        load_offer(json.dumps(raw), catalog)
+    assert info.value.pointer == pointer
+
+
 def test_render_report_table(catalog):
     reqs = [_constraint("latency", "<=", 5),
             _constraint("availability", ">=", 99)]

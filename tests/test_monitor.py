@@ -81,6 +81,10 @@ def test_parse_telemetry_value_variants():
     ("-3\tt\tm\t5", 1),
     ("9\t\tm\t5", 1),
     ("1\tt\tm\t1\n2\tt\tm\t2\nbroken here", 3),
+    ("1_000\tt\tm\t5", 1),
+    (" 7\tt\tm\t5", 1),
+    ("1\tt\tm\t5\n+8\tt\tm\t5", 2),
+    ("\u0663\tt\tm\t5", 1),
 ])
 def test_framing_errors_are_fatal(line, line_no):
     with pytest.raises(TelemetryFormatError) as info:
@@ -94,6 +98,23 @@ def test_over_long_values_are_unreadable(value):
     # beyond Python's int digit limit: a counted skip, not a ValueError
     records, skipped = parse_telemetry(f"1\tt\tm\t{value}\n2\tt\tm\t5\n")
     assert len(records) == 1 and skipped == 1
+
+
+def test_timestamp_messages_are_kept():
+    for line, message in [("x\tt\tm\t5", "bad timestamp 'x'"),
+                          ("+8\tt\tm\t5", "bad timestamp '+8'"),
+                          ("-3\tt\tm\t5", "timestamp must be non-negative")]:
+        with pytest.raises(TelemetryFormatError) as info:
+            parse_telemetry(line)
+        assert info.value.message == message
+
+
+def test_only_ascii_digits_make_numbers():
+    # Arabic-Indic three-three is text, not the number 33
+    records, skipped = parse_telemetry("1\tt\tm\t\u0663\u0663\n2\tt\tm\t33\n")
+    assert [r.value for r in records] == [TypedValue.text("\u0663\u0663"),
+                                          TypedValue.numeric(33)]
+    assert skipped == 0
 
 
 def test_over_long_timestamp_is_a_format_error():

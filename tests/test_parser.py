@@ -170,6 +170,18 @@ def test_comments_and_blank_lines_ignored():
     assert doc.id == "d"
 
 
+@pytest.mark.parametrize("number", ["9" * 5000, "1." + "0" * 4299 + "1",
+                                    "9" * 2500 + "." + "9" * 2500],
+                         ids=["integer", "decimal", "both_sides"])
+def test_over_long_numbers_are_placed(number):
+    # more digits than Python's int string limit: reported at the number,
+    # also when each side of the point alone would fit
+    with pytest.raises(ParseError) as info:
+        parse(wrap(f"slo s on app {{\n  availability >= {number} percent\n}}\n"))
+    assert (info.value.line, info.value.col) == (8, 19)
+    assert "too long" in info.value.message
+
+
 def test_bad_bytes_become_parse_errors():
     with pytest.raises(ParseError):
         parse(b"\xff\xfe\x00junk")

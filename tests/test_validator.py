@@ -102,3 +102,17 @@ def test_multiple_codes_coexist():
     )
     codes = sorted(d.code for d in validate(parse(source)))
     assert codes == ["V001", "V002"]
+
+
+def test_concepts_come_from_owners(rhms_doc, monkeypatch):
+    # every SLO is already attached to its owner; no per-SLO lookup by id
+    dangling = parse(fixture_text("rhms.sla").replace("on net_svc", "on nowhere"))
+    docs = [rhms_doc, parse(fixture_text("mut_v006.sla")), dangling]
+    expected = [validate(doc) for doc in docs]
+
+    def no_resolve(*_args):
+        raise AssertionError("resolve called")
+
+    monkeypatch.setattr("iotsla.model.resolve", no_resolve)
+    assert [validate(doc) for doc in docs] == expected
+    assert [[d.code for d in found] for found in expected] == [[], ["V006"], ["V006", "V010"]]
