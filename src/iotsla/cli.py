@@ -24,6 +24,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from .constraints import decimal_str_or_fraction
 from .errors import (
     ParseError,
     SchemaViolationError,
@@ -31,12 +32,7 @@ from .errors import (
     TelemetryFormatError,
 )
 from .interchange import _want_object, emit_json, read_json
-from .matcher import (
-    decimal_str_or_fraction,
-    load_offer,
-    rank_offers,
-    render_report_table,
-)
+from .matcher import load_offer, rank_offers, render_report_table
 from .model import SlaDocument, owned_slos
 from .monitor import EvaluationWindow, monitor_document, parse_telemetry
 from .parser import parse, serialize
@@ -262,21 +258,22 @@ def _cmd_monitor(args) -> int:
             return f"{text} {value.unit}" if value.unit else text
         return str(value.value).lower() if value.tag == "boolean" else str(value.value)
 
+    def window_text(item) -> str:  # bounds may pass Python's int string limit
+        bounds = map(decimal_str_or_fraction, (item.window_start, item.window_end))
+        return "[{},{}) ".format(*bounds)
+
     for event in report.violations:
         if args.json:
             print(emit_json(event.to_dict()))
         else:
             c = event.constraint
             print(
-                f"violation [{event.window_start},{event.window_end}) "
-                f"slo={event.slo_id}: {c.metric} {c.comparator} "
+                f"violation {window_text(event)}slo={event.slo_id}: {c.metric} {c.comparator} "
                 f"{value_text(c.value)}, observed {value_text(event.observed)}"
             )
 
     for gap in report.coverage_gaps:
-        where = (
-            f"[{gap.window_start},{gap.window_end}) " if gap.window_start is not None else ""
-        )
+        where = window_text(gap) if gap.window_start is not None else ""
         print(f"warning: coverage {where}{gap.note}", file=sys.stderr)
     if skipped_values:
         print(f"warning: {skipped_values} telemetry line(s) had unreadable values",
@@ -328,7 +325,7 @@ def _cmd_fmt(args) -> int:
 
 
 def _window_width(text: str) -> int:
-    if not (text.isdigit() and int(text) > 0):
+    if not (text.isascii() and text.isdigit() and int(text) > 0):
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
 

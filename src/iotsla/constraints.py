@@ -12,6 +12,7 @@ silently mix with wall-clock milliseconds.
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -269,13 +270,22 @@ def check_constraint_against_value(constraint, value: TypedValue, entry) -> str:
     return SATISFIED if value.value == bound.value else VIOLATED
 
 
+# The numeral of ``.sla`` text and telemetry values: ASCII digits with an
+# optional fraction, no sign, no exponent.  JSON numbers keep JSON's grammar.
+DECIMAL_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+
+
 def exact_number(text: str) -> Fraction:
     """Exact value of a numeral such as ``12.5`` or JSON's ``-1.25e3``.
 
+    The one conversion from numeral text to a Fraction: the agreement
+    parser, telemetry and the JSON reader all call it.
+
     Raises ValueError, before any large arithmetic, when written out with
     no exponent it has more digits than Python's int string limit (4300 by
-    default, and where the limit is off or absent), so :func:`decimal_repr`
-    can write back every number read here.
+    default, and where the limit is off or absent).  Every reader shares
+    the bound, so what :func:`decimal_repr` writes of a number read here
+    reads back.
     """
     mantissa, _, exponent = text.lower().partition("e")
     whole, _, fraction = mantissa.lstrip("-").partition(".")
@@ -288,16 +298,14 @@ def exact_number(text: str) -> Fraction:
     return Fraction(Decimal(text))
 
 
-def decimal_repr(value: Magnitude) -> str:
-    """Exact decimal rendering of a Fraction, e.g. 1999/20 -> "99.95".
-
-    Raises :class:`DomainError` when the fraction has no finite decimal
-    expansion (denominator with prime factors other than 2 and 5).
+def decimal_str_or_fraction(value: Magnitude) -> str:
+    """Exact rendering of a Fraction: "99.95" for 1999/20, and "n/d" such
+    as "4/3" when there is no finite decimal.  Digits go through
+    ``Decimal``, which, unlike ``str`` of an int, has no length limit.
     """
-    frac = Fraction(value)
-    num, den = frac.numerator, frac.denominator
+    num, den = Fraction(value).as_integer_ratio()
     if den == 1:
-        return str(num)
+        return str(Decimal(num))
     twos = fives = 0
     rest = den
     while rest % 2 == 0:
@@ -307,16 +315,24 @@ def decimal_repr(value: Magnitude) -> str:
         rest //= 5
         fives += 1
     if rest != 1:
-        raise DomainError(f"{frac} has no finite decimal representation")
+        return f"{Decimal(num)}/{Decimal(den)}"
+    # the smallest such ``places`` leaves no trailing zero
     places = max(twos, fives)
-    scaled = abs(num) * 10**places // den
-    digits = str(scaled).rjust(places + 1, "0")
-    whole, frac_part = digits[:-places], digits[-places:]
-    frac_part = frac_part.rstrip("0")
+    digits = str(Decimal(abs(num) * 10**places // den)).rjust(places + 1, "0")
     sign = "-" if num < 0 else ""
-    if not frac_part:
-        return sign + whole
-    return f"{sign}{whole}.{frac_part}"
+    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
+def decimal_repr(value: Magnitude) -> str:
+    """Exact decimal rendering of a Fraction, e.g. 1999/20 -> "99.95".
+
+    Raises :class:`DomainError` when the fraction has no finite decimal
+    expansion (denominator with prime factors other than 2 and 5).
+    """
+    text = decimal_str_or_fraction(value)
+    if "/" in text:
+        raise DomainError(f"{text} has no finite decimal representation")
+    return text
 
 
 def mean(values: Iterable[Magnitude]) -> Fraction:

@@ -28,13 +28,12 @@ weights and catalog overlays share.
 from __future__ import annotations
 
 import json
-import re
 from datetime import date
 from fractions import Fraction
 from typing import Any
 
-from .constraints import COMPARATORS, TypedValue, decimal_repr, exact_number
-from .errors import DomainError, DuplicateIdError, SchemaViolationError
+from .constraints import COMPARATORS, TypedValue, decimal_str_or_fraction, exact_number
+from .errors import DuplicateIdError, SchemaViolationError
 from .model import (
     ACTIVITY_KINDS,
     APP_TARGET,
@@ -51,7 +50,7 @@ from .model import (
     WorkflowActivity,
     build_document,
 )
-from .parser import KEYWORDS, _IDENT_RE
+from .parser import KEYWORDS, _DATE_RE, _IDENT_RE
 
 __all__ = ["to_interchange", "from_interchange", "emit_json"]
 
@@ -85,13 +84,8 @@ def _emit(value: Any, indent: int) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, Fraction)):
-        try:
-            return decimal_repr(value)
-        except DomainError:
-            # No finite decimal form (e.g. a mean of 4/3): fall back to a
-            # string so the output stays valid JSON and stays exact.
-            frac = Fraction(value)
-            return _emit_str(f"{frac.numerator}/{frac.denominator}")
+        text = decimal_str_or_fraction(value)
+        return _emit_str(text) if "/" in text else text  # "4/3": valid JSON, exact
     if isinstance(value, str):
         return _emit_str(value)
     if isinstance(value, date):
@@ -221,11 +215,21 @@ def _want(data: dict, key: str, pointer: str) -> Any:
     return data[key]
 
 
-def _want_str(data: dict, key: str, pointer: str) -> str:
-    value = _want(data, key, pointer)
+def _as_str(value: Any, pointer: str) -> str:
+    """``value`` if it is a string UTF-8 can encode: JSON escapes can spell
+    lone surrogates (``"\\ud800"``), which no UTF-8 output could carry.
+    """
     if not isinstance(value, str):
-        raise SchemaViolationError(f"{pointer}/{key}", "must be a string")
+        raise SchemaViolationError(pointer, "must be a string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaViolationError(pointer, "must not hold a lone surrogate") from None
     return value
+
+
+def _want_str(data: dict, key: str, pointer: str) -> str:
+    return _as_str(_want(data, key, pointer), f"{pointer}/{key}")
 
 
 def _want_ident(data: dict, key: str, pointer: str) -> str:
@@ -255,13 +259,10 @@ def _want_object(value: Any, pointer: str) -> dict:
     return value
 
 
-# The text parser's date token; ``date.fromisoformat`` alone also takes
-# ``20260101`` and ISO week dates on Python 3.11+.
-_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-
-
 def _want_date(data: dict, key: str, pointer: str) -> date:
     raw = _want_str(data, key, pointer)
+    # The text parser's date token first: ``date.fromisoformat`` alone also
+    # takes ``20260101`` and ISO week dates on Python 3.11+.
     if _DATE_RE.fullmatch(raw):
         try:
             return date.fromisoformat(raw)
@@ -279,21 +280,20 @@ def _check_keys(data: dict, allowed: set[str], pointer: str):
 def _read_typed_value(data: dict, pointer: str) -> TypedValue:
     raw = _want(data, "value", pointer)
     unit = data.get("unit")
-    if unit is not None and not isinstance(unit, str):
-        raise SchemaViolationError(f"{pointer}/unit", "must be a string")
+    if unit is not None:
+        _as_str(unit, f"{pointer}/unit")
     if isinstance(raw, bool):
         if unit is not None:
             raise SchemaViolationError(f"{pointer}/unit", "booleans carry no unit")
         return TypedValue.boolean(raw)
-    if isinstance(raw, (int, Fraction)):
-        magnitude = Fraction(raw)
-        if magnitude < 0:
+    if isinstance(raw, Fraction):  # read_json reads every number as one
+        if raw < 0:
             raise SchemaViolationError(f"{pointer}/value", "must be non-negative")
-        return TypedValue("numeric", magnitude, unit)
+        return TypedValue("numeric", raw, unit)
     if isinstance(raw, str):
         if unit is not None:
             raise SchemaViolationError(f"{pointer}/unit", "text values carry no unit")
-        return TypedValue.text(raw)
+        return TypedValue.text(_as_str(raw, f"{pointer}/value"))
     raise SchemaViolationError(f"{pointer}/value", "must be a number, boolean, or string")
 
 

@@ -25,10 +25,10 @@ from .constraints import (
     UNSPECIFIED,
     VIOLATED,
     TypedValue,
-    decimal_repr,
+    decimal_str_or_fraction,
     to_canonical,
 )
-from .errors import DomainError, SchemaViolationError, TypeMismatchError, UnitMismatchError
+from .errors import SchemaViolationError, TypeMismatchError, UnitMismatchError
 from .interchange import (
     _check_keys, _read_typed_value, _want_list, _want_object, _want_str, read_json,
 )
@@ -75,14 +75,6 @@ class MatchReport:
             "score": decimal_str_or_fraction(self.score),
             "verdicts": list(self.verdicts),
         }
-
-
-def decimal_str_or_fraction(value: Fraction) -> str:
-    """Exact human-readable rendering: decimal when finite, else n/d."""
-    try:
-        return decimal_repr(value)
-    except DomainError:
-        return f"{value.numerator}/{value.denominator}"
 
 
 def _delivered_interval(

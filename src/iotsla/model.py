@@ -227,13 +227,7 @@ class SlaDocument:
 
     def all_slos(self) -> tuple[Slo, ...]:
         """Every objective in the document, in attachment order."""
-        out: list[Slo] = list(self.app_slos)
-        for svc in self.services:
-            out.extend(svc.slos)
-        for res in self.resources:
-            out.extend(res.slos)
-        out.extend(self.unattached_slos)
-        return tuple(out)
+        return tuple(slo for _, _, slo in owned_slos(self))
 
 
 def build_document(
@@ -338,8 +332,8 @@ def services_for_activity(doc: SlaDocument, activity_id: str) -> list[ServiceSpe
 
 
 def owned_slos(doc: SlaDocument) -> Iterator[tuple[str | None, str | None, Slo]]:
-    """Each SLO as (owner id, owner concept, slo), in :meth:`SlaDocument.all_slos`
-    order: ``app`` for application SLOs, None twice for unattached ones.
+    """Each SLO as (owner id, owner concept, slo), in attachment order:
+    ``app`` for application SLOs, None twice for unattached ones.
 
     Linear, unlike calling :func:`concept_of_target` per SLO.
     """

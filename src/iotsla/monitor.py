@@ -28,14 +28,14 @@ textual ones); other samples are ignored.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 from typing import Callable, Iterable
 
 from .constraints import (
-    COMPARABLE_TAGS, SATISFIED, TypedValue, check_constraint_against_value, to_canonical,
+    COMPARABLE_TAGS, DECIMAL_RE, SATISFIED, TypedValue, check_constraint_against_value,
+    exact_number, to_canonical,
 )
 from .errors import DomainError, EmptyWindowError, TelemetryFormatError, UnitMismatchError
 from .model import APP_TARGET, MetricConstraint, SlaDocument, Slo, owned_slos
@@ -164,22 +164,19 @@ class MonitorReport:
 
 # -- telemetry input ---------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?\Z")
-
-
 def _parse_value_field(text: str) -> TypedValue | None:
     """Interpret the value column; None when uninterpretable."""
     if text in ("true", "false"):
         return TypedValue.boolean(text == "true")
     parts = text.split(" ")
-    if _NUMBER_RE.match(parts[0]):
+    if DECIMAL_RE.fullmatch(parts[0]):
         if len(parts) > 2 or (len(parts) == 2 and not parts[1]):
             return None
         try:
-            magnitude = Fraction(parts[0])
-        except ValueError:  # more digits than Python's int conversion allows
+            magnitude = exact_number(parts[0])
+        except ValueError:  # more digits than exact_number takes
             return None
-        return TypedValue.numeric(magnitude, parts[1] if len(parts) == 2 else None)
+        return TypedValue("numeric", magnitude, parts[1] if len(parts) == 2 else None)
     if len(parts) == 1 and text:
         return TypedValue.text(text)
     return None
@@ -528,8 +525,7 @@ def monitor_document(
     events, gaps, seen, skipped = _fold(_document_index(doc, catalog), records, _as_window(window))
     if not seen:
         gaps.insert(0, CoverageGap(None, None, None, "no telemetry records"))
-    owned = (slo for owner in (*doc.services, *doc.resources) for slo in owner.slos)
-    counts = dict.fromkeys((slo.id for slo in (*doc.app_slos, *owned)), 0)
+    counts = dict.fromkeys((slo.id for home, _, slo in owned_slos(doc) if home is not None), 0)
     events.sort(key=lambda e: (e.window_start, e.slo_id, e.constraint.metric))
     for event in events:
         counts[event.slo_id] += 1

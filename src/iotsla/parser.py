@@ -45,7 +45,7 @@ import re
 from dataclasses import dataclass
 from datetime import date
 
-from .constraints import COMPARATORS, TypedValue, decimal_repr, exact_number
+from .constraints import COMPARATORS, DECIMAL_RE, TypedValue, decimal_repr, exact_number
 from .errors import ParseError
 from .model import (
     ACTIVITY_KINDS,
@@ -73,17 +73,18 @@ KEYWORDS = frozenset(
 )
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>[ \t\r\n]+)
     | (?P<comment>\#[^\n]*)
-    | (?P<date>\d{4}-\d{2}-\d{2})
-    | (?P<number>\d+(?:\.\d+)?)
+    | (?P<date>%s)
+    | (?P<number>%s)
     | (?P<ident>[a-z][a-z0-9_]*)
     | (?P<string>"(?:\\.|[^"\\\n])*")
     | (?P<op>==|<=|>=|[{}=:,<>])
-    """,
+    """ % (_DATE_RE.pattern, DECIMAL_RE.pattern),
     re.VERBOSE,
 )
 

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 from . import _catalog_data
 from .constraints import KNOWN_UNITS
 from .errors import SchemaViolationError, VocabularyIntegrityError
-from .interchange import _check_keys, _want_list, _want_object, _want_str, read_json
+from .interchange import _as_str, _check_keys, _want_list, _want_object, _want_str, read_json
 
 __all__ = [
     "TABLE_CONCEPTS",
@@ -121,11 +121,12 @@ class VocabularyEntry:
                   "canonical_unit", "direction", "aggregator", "kind")
         _check_keys(_want_object(data, pointer or "/"), {*fields, "aliases"}, pointer)
         values = {key: _want_str(data, key, pointer) for key in fields}
-        aliases = _want_list(data, "aliases", pointer, default=[])
-        if not all(isinstance(a, str) for a in aliases):
-            raise SchemaViolationError(f"{pointer}/aliases", "must be a list of strings")
+        aliases = tuple(
+            _as_str(alias, f"{pointer}/aliases/{i}")
+            for i, alias in enumerate(_want_list(data, "aliases", pointer, default=[]))
+        )
         try:
-            return cls(**values, aliases=tuple(aliases))
+            return cls(**values, aliases=aliases)
         except ValueError as exc:
             raise SchemaViolationError(pointer or "/", str(exc)) from None
 

@@ -186,6 +186,18 @@ def test_match_bad_offer(capsys, tmp_path):
     assert code == 2 and "bad offer" in err
 
 
+@pytest.mark.parametrize("provider_id,code", [("\ud800", 2), ("\U0001f600", 0)],
+                         ids=["lone_surrogate", "surrogate_pair"])
+def test_match_offers_must_encode_as_utf8(capsys, tmp_path, provider_id, code):
+    offer = json.loads((FIXTURES / "alpha.offer.json").read_text())
+    offer["provider_id"] = provider_id
+    path = tmp_path / "x.offer.json"
+    path.write_text(json.dumps(offer))  # as the escapes \ud800 or \ud83d\ude00
+    got, out, err = run(capsys, "match", fx("procure.sla"), str(path))
+    assert got == code and "Traceback" not in err
+    assert "/provider_id" in err if code else provider_id in out
+
+
 def test_match_mixed_concepts(capsys, tmp_path):
     other = tmp_path / "other.offer.json"
     other.write_text(json.dumps({
@@ -229,7 +241,7 @@ def test_match_weights_that_cannot_be_read(capsys, tmp_path, content, where):
 
 # --- monitor ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("width", ["0", "-5"])
+@pytest.mark.parametrize("width", ["0", "-5", "\u0666\u0660"])
 def test_monitor_window_must_be_positive(capsys, width):
     code, out, err = run(capsys, "monitor", fx("rhms.sla"), fx("calm.telemetry"),
                          "--window", width)
@@ -297,6 +309,40 @@ def test_monitor_ignores_incomparable_samples(capsys, tmp_path, rhms_text):
     assert "Traceback" not in err
 
 
+def test_monitor_skips_values_too_long_in_total(capsys, tmp_path):
+    # each side of the point is under 4300 digits, the whole is not
+    telemetry = tmp_path / "long.telemetry"
+    telemetry.write_text(f"0\tnet_svc\tnetwork_delay\t{'9' * 3000}.{'9' * 3000} time_unit\n")
+    code, out, err = run(capsys, "monitor", fx("rhms.sla"), str(telemetry))
+    assert code == 0 and "checked 0 records: 0 violation(s)" in out
+    assert "1 telemetry line(s) had unreadable values" in err and "Traceback" not in err
+
+
+def test_monitor_writes_observed_values_of_any_length(capsys, tmp_path, rhms_text):
+    # 4299 digits in ratio are 4301 in percent, past Python's int string limit
+    sla = tmp_path / "cpu.sla"
+    sla.write_text(with_slo(rhms_text, "slo cpu on cloud_vm {\n"
+                                       "  cpu_utilization <= 50 percent\n}"))
+    telemetry = tmp_path / "cpu.telemetry"
+    telemetry.write_text(f"0\tcloud_vm\tcpu_utilization\t{'9' * 4299} ratio\n")
+    code, out, err = run(capsys, "monitor", str(sla), str(telemetry), "--json")
+    assert code == 1 and "Traceback" not in err
+    assert f'"observed": {"9" * 4299}00,' in out
+
+
+def test_monitor_writes_windows_of_any_length(capsys, tmp_path):
+    # a 4300-digit timestamp is read; its window ends one digit longer
+    start = "9" * 4300
+    telemetry = tmp_path / "late.telemetry"
+    telemetry.write_text(f"{start}\tnet_svc\tnetwork_delay\t5 time_unit\n"
+                         f"{start}\tingest_svc\tlatency\t1 time_unit\n")
+    code, out, err = run(capsys, "monitor", fx("rhms.sla"), str(telemetry))
+    assert code == 1 and "Traceback" not in err
+    window = f"[{'9' * 4298}60,1{'0' * 4298}20)"  # 10**4300 - 40 and + 20
+    assert out.startswith(f"violation {window} slo=net_quality")
+    assert f"warning: coverage {window} " in err
+
+
 def test_monitor_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", _Stdin((FIXTURES / "calm.telemetry").read_text()))
     code, out, _ = run(capsys, "monitor", fx("rhms.sla"), "-")
@@ -353,6 +399,15 @@ def test_fmt_rewrites(capsys, tmp_path, rhms_text):
     # now canonical: a second run changes nothing and stays quiet
     code, out, _ = run(capsys, "fmt", str(work))
     assert code == 0 and out == ""
+
+
+def test_fmt_check_refuses_non_ascii_digits(capsys, tmp_path, rhms_text):
+    # Arabic-Indic one is no numeral: the parser stops at it
+    bad = tmp_path / "digits.sla"
+    bad.write_text(rhms_text.replace("network_delay <= 1", "network_delay <= \u0661"))
+    code, out, err = run(capsys, "fmt", str(bad), "--check")
+    assert code == 2 and out == ""
+    assert err.startswith(f"{bad}:23:20: error: unexpected character")
 
 
 def test_fmt_parse_error(capsys, tmp_path):

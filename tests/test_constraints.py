@@ -20,7 +20,7 @@ from iotsla import (
     normalize_unit,
     units_convertible,
 )
-from iotsla.constraints import decimal_repr, mean, unit_family
+from iotsla.constraints import decimal_repr, decimal_str_or_fraction, mean, unit_family
 from iotsla.errors import DomainError
 
 
@@ -135,6 +135,27 @@ def test_decimal_repr_exact():
     assert decimal_repr(Fraction(7)) == "7"
     with pytest.raises(DomainError):
         decimal_repr(Fraction(1, 3))
+
+
+def test_the_writer_has_no_length_limit():
+    # unit conversion and means can pass Python's int string limit; the
+    # writer still writes every digit
+    big = 10**5000 - 1
+    assert decimal_repr(Fraction(big, 10**4)) == "9" * 4996 + ".9999"
+    assert decimal_str_or_fraction(Fraction(-big)) == "-" + "9" * 5000
+    assert decimal_str_or_fraction(Fraction(1, 3 * 10**4400)) == "1/3" + "0" * 4400
+
+
+@given(st.fractions())
+def test_the_writer_is_exact(value):
+    # a decimal exactly when the denominator has no prime factor but 2 and 5
+    rest = value.denominator
+    for prime in (2, 5):
+        while rest % prime == 0:
+            rest //= prime
+    text = decimal_str_or_fraction(value)
+    assert ("/" in text) == (rest != 1)
+    assert Fraction(text) == value
 
 
 def test_mean_exact():

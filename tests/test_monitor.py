@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from iotsla import (
     Catalog,
     EmptyWindowError,
     MetricConstraint,
+    ParseError,
     Slo,
     TelemetryFormatError,
     TypedValue,
@@ -16,6 +18,7 @@ from iotsla import (
     load_builtin_catalog,
     parse,
 )
+from iotsla.constraints import decimal_repr
 from iotsla.monitor import (
     EvaluationWindow,
     TelemetryRecord,
@@ -121,6 +124,65 @@ def test_over_long_timestamp_is_a_format_error():
     with pytest.raises(TelemetryFormatError) as info:
         parse_telemetry("9" * 5000 + "\tt\tm\t5")
     assert info.value.line_no == 1
+
+
+def _mostly(common, *rare):
+    """``common`` three times as often as each of ``rare``."""
+    return st.sampled_from([common] * 3 + list(rare)).flatmap(lambda strategy: strategy)
+
+
+# Numerals near and past the 4300-digit bound, in total or on one side of
+# the point, mostly with ASCII digits.
+_RUNS = st.builds(str.__mul__, _mostly(st.sampled_from("019"), st.sampled_from("\u0663\uff19")),
+                  st.integers(1, 5000) | st.integers(1, 4))
+_NUMERALS = st.builds(
+    lambda whole, point, fraction, unit: whole + point + fraction + unit,
+    _RUNS, _mostly(st.sampled_from(["", "."]), st.sampled_from(["e", "_"])), _RUNS,
+    _mostly(st.sampled_from(["", " ms", " time_unit"]), st.sampled_from([" ", " a b"])),
+)
+_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), max_size=6)
+_ODD = st.sampled_from(["", "-3", "+8", " 7", "1_0", "true"])
+# mostly four fields with a readable timestamp, so that values get read
+_LINES = _mostly(
+    st.tuples(
+        _mostly(st.integers(0, 10**6).map(str), _RUNS, _ODD),
+        _mostly(st.just("net_svc"), _TEXT),
+        _mostly(st.just("network_delay"), _TEXT),
+        _mostly(_NUMERALS, _TEXT, _ODD),
+    ).map("\t".join),
+    st.lists(_TEXT, max_size=5).map("\t".join),
+)
+
+
+@settings(max_examples=150, deadline=2000)
+@given(lines=st.lists(_LINES, max_size=3))
+@example(lines=[f"0\tnet_svc\tnetwork_delay\t{'9' * 3000}.{'9' * 3000} time_unit"])
+@example(lines=["9" * 5000 + "\tt\tm\t5"])
+def test_telemetry_is_total_and_written_back(lines):
+    try:
+        records, skipped = parse_telemetry(lines)
+    except TelemetryFormatError:
+        return
+    assert len(records) + skipped == sum(1 for line in lines if line.strip())
+    for record in records:
+        if record.value.tag == "numeric":
+            # what is read is written back in the one numeral form, and reads
+            # back to the same value
+            text = decimal_repr(record.value.magnitude)
+            again, _ = parse_telemetry([f"0\tt\tm\t{text}"])
+            assert again[0].value.magnitude == record.value.magnitude
+
+
+@pytest.mark.parametrize("digit", ["\u0661", "\u0967", "\uff11"],
+                         ids=["arabic_indic", "devanagari", "fullwidth"])
+def test_non_ascii_digits_are_no_numerals(rhms_text, digit):
+    # .sla text and telemetry share one numeral grammar: ASCII digits only
+    text = rhms_text.replace("network_delay <= 1", f"network_delay <= {digit}")
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert (info.value.line, info.value.col) == (23, 20)
+    records, _ = parse_telemetry(f"0\tnet_svc\tnetwork_delay\t{digit} time_unit")
+    assert records == []
 
 
 def test_blank_lines_skipped():

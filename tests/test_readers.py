@@ -7,7 +7,9 @@ second.  Each payload runs in a child process, so a reader that stalls on
 it fails the test instead of stalling the suite.
 """
 
+import functools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -33,7 +35,7 @@ from iotsla import (
 )
 from iotsla.cli import main
 
-from support import FIXTURES, fixture_text
+from support import ACCURACY_MIN, FIXTURES, fixture_text
 
 PAYLOADS = {
     "deep_nesting": "[" * 100000,
@@ -158,6 +160,55 @@ def test_the_digit_bound(number, accepted):
         with pytest.raises(SchemaViolationError) as info:
             load_offer(text, load_builtin_catalog())
         assert info.value.pointer == "/"
+
+
+# Strings: every accepted one must encode as UTF-8.
+
+READ = {"from_interchange": from_interchange,
+        "load_offer": lambda text: load_offer(text, load_builtin_catalog()),
+        "Catalog.from_json": Catalog.from_json}
+
+
+def _reader_input(reader: str) -> object:
+    if reader == "from_interchange":
+        return json.loads(to_interchange(parse(fixture_text("rhms.sla"))))
+    if reader == "load_offer":
+        return json.loads(fixture_text("alpha.offer.json"))
+    return [dict(ACCURACY_MIN, aliases=["acc"])]
+
+
+@pytest.mark.parametrize("reader,pointer", [
+    ("from_interchange", "/title"),
+    ("from_interchange", "/parties/0/name"),
+    ("from_interchange", "/app_slos/0/constraints/0/unit"),
+    ("from_interchange", "/app_slos/0/constraints/0/value"),
+    ("load_offer", "/provider_id"),
+    ("load_offer", "/capabilities/0/unit"),
+    ("Catalog.from_json", "/0/description"),
+    ("Catalog.from_json", "/0/aliases/0"),
+])
+def test_lone_surrogates_are_refused(reader, pointer):
+    # json.dumps writes the lone surrogate as the escape \ud800
+    data = _reader_input(reader)
+    *path, key = [int(part) if part.isdigit() else part for part in pointer[1:].split("/")]
+    parent = functools.reduce(operator.getitem, path, data)
+    parent[key] = "\ud800"
+    if key == "value":
+        del parent["unit"]  # text values carry none
+    with pytest.raises(SchemaViolationError) as info:
+        READ[reader](json.dumps(data))
+    assert info.value.pointer == pointer
+
+
+def test_surrogate_pairs_are_kept():
+    data = _reader_input("from_interchange")
+    data["title"] = "\U0001f600"
+    text = json.dumps(data)
+    assert "\\ud83d\\ude00" in text
+    doc = from_interchange(text)
+    assert doc.title == "\U0001f600"
+    assert from_interchange(to_interchange(doc).encode("utf-8")) == doc
+    assert parse(serialize(doc).encode("utf-8")) == doc
 
 
 if __name__ == "__main__":
