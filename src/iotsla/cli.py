@@ -33,7 +33,7 @@ from .errors import (
 )
 from .interchange import _want_object, emit_json, read_json
 from .matcher import load_offer, rank_offers, render_report_table
-from .model import SlaDocument, owned_slos
+from .model import MetricConstraint, SlaDocument, owned_slos
 from .monitor import EvaluationWindow, monitor_document, parse_telemetry
 from .parser import parse, serialize
 from .validator import ERROR, format_diagnostic, validate
@@ -178,15 +178,31 @@ def _cmd_vocab(args) -> int:
     return 0
 
 
-def _load_weights(path: str | None) -> dict[str, Fraction] | None:
+def _load_weights(path: str | None, requirements: list[MetricConstraint],
+                  concept: str, catalog: Catalog) -> dict[str, Fraction] | None:
+    """Metric weights.  Every key must name, by term or alias of
+    ``concept``, a term some requirement names, and no two keys one term."""
     if path is None:
         return None
     text = _read_text(path)
+    required = {catalog.lookup(c.metric, concept).term for c in requirements}
+    keys: dict[str, str] = {}  # term -> the key that weighs it
     try:
         weights = _want_object(read_json(text), "/")
         for key, weight in weights.items():
             if not isinstance(weight, Fraction) or weight <= 0:
                 raise SchemaViolationError(f"/{key}", "weight must be a positive number")
+            entry = catalog.lookup(key, concept)
+            if entry is None:
+                raise SchemaViolationError(f"/{key}", f"no term or alias {key!r} "
+                                                      f"for concept {concept!r}")
+            if entry.term not in required:
+                raise SchemaViolationError(f"/{key}", f"no requirement on {concept!r} "
+                                                      f"names {entry.term!r}")
+            if entry.term in keys:
+                raise SchemaViolationError(f"/{key}", f"{keys[entry.term]!r} already "
+                                                      f"weighs {entry.term!r}")
+            keys[entry.term] = key
     except SchemaViolationError as exc:
         raise _CliFailure(2, f"bad weights file {path}: {exc}") from None
     return weights
@@ -195,7 +211,6 @@ def _load_weights(path: str | None) -> dict[str, Fraction] | None:
 def _cmd_match(args) -> int:
     catalog = _load_catalog(args.catalog)
     doc = _validate_or_fail(args.request, catalog)
-    weights = _load_weights(args.weights)
 
     offers = []
     for offer_path in args.offers:
@@ -217,6 +232,7 @@ def _cmd_match(args) -> int:
         if owner_concept == concept
         for constraint in slo.constraints
     ]
+    weights = _load_weights(args.weights, requirements, concept, catalog)
     try:
         reports = rank_offers(requirements, offers, weights, catalog)
     except SlaError as exc:

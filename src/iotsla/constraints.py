@@ -160,6 +160,21 @@ class TypedValue:
         return self.value
 
 
+def _trusted_numeric(magnitude: Fraction, unit: str | None) -> TypedValue:
+    """``TypedValue("numeric", magnitude, unit)`` built without
+    ``__post_init__``, for a Fraction a grammar has already read.
+
+    It is equal, and hash-equal, to the value the checked constructor
+    builds, and as compact: the fields are set one by one, so no instance
+    ``__dict__`` is made.
+    """
+    value = object.__new__(TypedValue)
+    object.__setattr__(value, "tag", "numeric")
+    object.__setattr__(value, "value", magnitude)
+    object.__setattr__(value, "unit", unit)
+    return value
+
+
 def unit_family(unit: str) -> str:
     """Family name for ``unit``; raises IncompatibleUnitsError if unknown."""
     try:
@@ -177,8 +192,8 @@ def units_convertible(a: str, b: str) -> bool:
     )
 
 
-def convert(magnitude: Magnitude, from_unit: str, to_unit: str) -> Fraction:
-    """Convert a bare magnitude between units of one family, exactly."""
+def unit_factor(from_unit: str, to_unit: str) -> Fraction:
+    """The exact factor that takes a magnitude in ``from_unit`` to ``to_unit``."""
     fam_a = unit_family(from_unit)
     fam_b = unit_family(to_unit)
     if fam_a != fam_b:
@@ -186,7 +201,12 @@ def convert(magnitude: Magnitude, from_unit: str, to_unit: str) -> Fraction:
             f"cannot convert {from_unit!r} ({fam_a}) to {to_unit!r} ({fam_b})"
         )
     table = UNIT_FAMILIES[fam_a]
-    return Fraction(magnitude) * table[from_unit] / table[to_unit]
+    return table[from_unit] / table[to_unit]
+
+
+def convert(magnitude: Magnitude, from_unit: str, to_unit: str) -> Fraction:
+    """Convert a bare magnitude between units of one family, exactly."""
+    return Fraction(magnitude) * unit_factor(from_unit, to_unit)
 
 
 def normalize_unit(value: TypedValue, target_unit: str) -> TypedValue:
@@ -279,23 +299,35 @@ def exact_number(text: str) -> Fraction:
     """Exact value of a numeral such as ``12.5`` or JSON's ``-1.25e3``.
 
     The one conversion from numeral text to a Fraction: the agreement
-    parser, telemetry and the JSON reader all call it.
+    parser, telemetry and the JSON reader all call it.  The numeral is
+    read as the integer of its digits, with its sign, times the power of
+    ten its point and exponent give: ``-1.25e3`` is -125 × 10**1, and
+    ``12.50`` is 1250/10**2.
 
-    Raises ValueError, before any large arithmetic, when written out with
-    no exponent it has more digits than Python's int string limit (4300 by
-    default, and where the limit is off or absent).  Every reader shares
-    the bound, so what :func:`decimal_repr` writes of a number read here
-    reads back.
+    A number whose digits are all zero is 0, whatever its length or
+    exponent.  Any other number raises ValueError, before any large
+    arithmetic, when written out with no exponent it has more digits than
+    Python's int string limit (4300 by default, and where the limit is off
+    or absent).  The limit is read on every call.  Every reader shares the
+    bound, so what :func:`decimal_repr` writes of a number read here reads
+    back.
     """
     mantissa, _, exponent = text.lower().partition("e")
     whole, _, fraction = mantissa.lstrip("-").partition(".")
-    if not (whole + fraction).strip("0"):
+    digits = whole + fraction
+    if not digits.strip("0"):
         return Fraction(0)
-    point = len(whole) + int(exponent or 0)
+    shift = int(exponent or 0)
+    point = len(whole) + shift
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-    if max(point, 1) + max(len(whole) + len(fraction) - point, 0) > limit:
+    # the bound is at least len(digits), so int() below stays in the limit
+    if max(point, 1) + max(len(digits) - point, 0) > limit:
         raise ValueError(f"number too long: more than {limit} digits")
-    return Fraction(Decimal(text))
+    numerator = -int(digits) if mantissa.startswith("-") else int(digits)
+    shift -= len(fraction)
+    if shift < 0:
+        return Fraction(numerator, 10 ** -shift)
+    return Fraction(numerator * 10 ** shift)
 
 
 def decimal_str_or_fraction(value: Magnitude) -> str:

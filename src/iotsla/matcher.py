@@ -155,29 +155,34 @@ def satisfies_capability(
     return SATISFIED if capability.value == constraint.value.value else VIOLATED
 
 
-def _weight_of(weights: Mapping[str, Fraction | int] | None, metric: str) -> Fraction:
-    if weights is None:
-        return Fraction(1)
-    weight = Fraction(weights.get(metric, 1))
-    if weight <= 0:
-        raise ValueError(f"weight for {metric!r} must be positive")
-    return weight
-
-
-def _score(
+def _weights_of(
     requirements: list[MetricConstraint],
-    verdicts: Iterable[str],
     weights: Mapping[str, Fraction | int] | None,
-) -> Fraction:
-    total = Fraction(0)
-    satisfied = Fraction(0)
-    for constraint, verdict in zip(requirements, verdicts):
-        weight = _weight_of(weights, constraint.metric)
-        total += weight
-        if verdict == SATISFIED:
-            satisfied += weight
+    concept: str,
+    catalog: Catalog,
+) -> list[Fraction]:
+    """Each requirement's weight, matched by term: a weight given under a
+    term or any of its aliases weighs every requirement on that term,
+    however it is spelt.  Terms with no weight weigh 1."""
+    by_term: dict[str, Fraction | int] = {}
+    for key, weight in (weights or {}).items():
+        entry = catalog.lookup(key, concept)
+        by_term[entry.term if entry else key] = weight
+    result = []
+    for constraint in requirements:
+        entry = catalog.lookup(constraint.metric, concept)
+        weight = Fraction(by_term.get(entry.term if entry else constraint.metric, 1))
+        if weight <= 0:
+            raise ValueError(f"weight for {constraint.metric!r} must be positive")
+        result.append(weight)
+    return result
+
+
+def _score(weights: list[Fraction], verdicts: Iterable[str]) -> Fraction:
+    total = sum(weights, Fraction(0))
     if total == 0:
         return Fraction(1)
+    satisfied = sum((w for w, v in zip(weights, verdicts) if v == SATISFIED), Fraction(0))
     return satisfied / total
 
 
@@ -189,12 +194,13 @@ def score_offer(
 ) -> Fraction:
     """Weighted fraction of satisfied requirements, in [0, 1].
 
-    Metrics missing from ``weights`` weigh 1.  With no requirements at all
-    there is nothing to fail, so the score is 1.
+    Weights are keyed by metric term or alias; metrics missing from
+    ``weights`` weigh 1.  With no requirements at all there is nothing to
+    fail, so the score is 1.
     """
     requirements = list(requirements)
     verdicts = [satisfies_capability(c, offer, catalog) for c in requirements]
-    return _score(requirements, verdicts, weights)
+    return _score(_weights_of(requirements, weights, offer.concept, catalog), verdicts)
 
 
 def rank_offers(
@@ -215,12 +221,14 @@ def rank_offers(
         raise ValueError(
             f"offers span multiple concepts: {', '.join(sorted(concepts))}"
         )
+    if offers:
+        weighed = _weights_of(requirements, weights, offers[0].concept, catalog)
     scored: list[tuple[ProviderOffer, tuple[str, ...], Fraction]] = []
     for offer in offers:
         verdicts = tuple(
             satisfies_capability(c, offer, catalog) for c in requirements
         )
-        scored.append((offer, verdicts, _score(requirements, verdicts, weights)))
+        scored.append((offer, verdicts, _score(weighed, verdicts)))
 
     scored.sort(key=lambda item: (-item[2], item[0].provider_id))
     reports: list[MatchReport] = []

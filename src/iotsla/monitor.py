@@ -8,8 +8,9 @@ coverage problem, reported separately, never an SLO breach.
 
 Evaluation is one fold over the records.  An index built once per call
 maps each target to its concept and each (target, term) to the
-constraints watching it.  Each record is resolved by dictionary lookup,
-put into canonical units at most once and folded into one exact
+constraints watching it, with each numeric bound in canonical units.  Each
+record is resolved by dictionary lookup, put into canonical units at most
+once (one factor per unit pair and call) and folded into one exact
 accumulator per (target, term, window); time-family samples also update
 each requiring activity's per-window maximum.  Constraints are checked
 afterwards, once per window with samples: O(records + windows ×
@@ -34,10 +35,13 @@ from itertools import count
 from typing import Callable, Iterable
 
 from .constraints import (
-    COMPARABLE_TAGS, DECIMAL_RE, SATISFIED, TypedValue, check_constraint_against_value,
-    exact_number, to_canonical,
+    COMPARABLE_TAGS, DECIMAL_RE, SATISFIED, TypedValue, _compare, _trusted_numeric,
+    check_constraint_against_value, exact_number, to_canonical, unit_factor,
 )
-from .errors import DomainError, EmptyWindowError, TelemetryFormatError, UnitMismatchError
+from .errors import (
+    DomainError, EmptyWindowError, IncompatibleUnitsError, TelemetryFormatError,
+    UnitMismatchError,
+)
 from .model import APP_TARGET, MetricConstraint, SlaDocument, Slo, owned_slos
 from .vocabulary import APPLICATION_CONCEPT, Catalog, VocabularyEntry, load_builtin_catalog
 
@@ -164,20 +168,24 @@ class MonitorReport:
 
 # -- telemetry input ---------------------------------------------------------
 
+_BOOLEANS = {"true": TypedValue.boolean(True), "false": TypedValue.boolean(False)}
+
+
 def _parse_value_field(text: str) -> TypedValue | None:
     """Interpret the value column; None when uninterpretable."""
-    if text in ("true", "false"):
-        return TypedValue.boolean(text == "true")
-    parts = text.split(" ")
-    if DECIMAL_RE.fullmatch(parts[0]):
-        if len(parts) > 2 or (len(parts) == 2 and not parts[1]):
+    boolean = _BOOLEANS.get(text)
+    if boolean is not None:
+        return boolean
+    numeral, space, unit = text.partition(" ")
+    if DECIMAL_RE.fullmatch(numeral):
+        if space and (not unit or " " in unit):
             return None
         try:
-            magnitude = exact_number(parts[0])
+            magnitude = exact_number(numeral)
         except ValueError:  # more digits than exact_number takes
             return None
-        return TypedValue("numeric", magnitude, parts[1] if len(parts) == 2 else None)
-    if len(parts) == 1 and text:
+        return _trusted_numeric(magnitude, unit or None)
+    if not space and text:
         return TypedValue.text(text)
     return None
 
@@ -220,8 +228,21 @@ def parse_telemetry(source: str | Iterable[str]) -> tuple[list[TelemetryRecord],
         if value is None:
             skipped += 1
             continue
-        records.append(TelemetryRecord(timestamp, target_id, metric, value))
+        records.append(_trusted_record(timestamp, target_id, metric, value))
     return records, skipped
+
+
+def _trusted_record(timestamp: int, target_id: str, metric: str,
+                    value: TypedValue) -> TelemetryRecord:
+    """A :class:`TelemetryRecord` of fields :func:`parse_telemetry` has
+    checked, built without ``__post_init__`` and with no instance
+    ``__dict__``; equal, and hash-equal, to the checked one."""
+    record = object.__new__(TelemetryRecord)
+    object.__setattr__(record, "timestamp", timestamp)
+    object.__setattr__(record, "target_id", target_id)
+    object.__setattr__(record, "metric", metric)
+    object.__setattr__(record, "value", value)
+    return record
 
 
 # -- the fold -------------------------------------------------------------------
@@ -240,8 +261,10 @@ class _Index:
 
     ``homes``: record target -> (home target, concept), one home for ``app``
     and the document id; ``watchers``: (home, term) -> [(position, slo,
-    constraint, entry)] in declaration order; ``members``: service ->
-    positions of the activities requiring it, filled only for ``e2e``.
+    constraint, entry, bound)] in declaration order, where ``bound`` is a
+    numeric constraint's value in canonical units, or None when it has none;
+    ``members``: service -> positions of the activities requiring it, filled
+    only for ``e2e``.
     """
 
     def __init__(self, catalog: Catalog, homes: dict[str, tuple[str, str]]):
@@ -255,9 +278,16 @@ class _Index:
     def watch(self, home: str, concept: str, slo: Slo, constraint: MetricConstraint):
         position = next(self.positions)
         entry = self.catalog.lookup(constraint.metric, concept)
-        if entry is not None:
-            self.watchers.setdefault((home, entry.term), []).append(
-                (position, slo, constraint, entry))
+        if entry is None:
+            return
+        bound = None
+        if entry.value_type == "numeric" and constraint.value.tag == "numeric":
+            try:
+                bound = to_canonical(constraint.value, entry, "constraint")
+            except UnitMismatchError:
+                pass  # check_constraint_against_value raises it per window
+        self.watchers.setdefault((home, entry.term), []).append(
+            (position, slo, constraint, entry, bound))
 
     def route(self, target_id: str, metric: str, entries: dict):
         """(entry, watched key or None, activity positions); None if unknown."""
@@ -335,6 +365,7 @@ def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationW
     """
     routes: dict[tuple[str, str], tuple | None] = {}  # (target id, metric) -> route
     entries: dict[tuple[str, str], VocabularyEntry | None] = {}  # (metric, concept) -> entry
+    factors: dict[tuple[str, str], Fraction | None] = {}  # (unit, canonical unit) -> factor
     states: dict[tuple[str, str, int], list | dict] = {}  # (home, term, window) -> state
     maxima: dict[int, list[Fraction | None]] = {}  # window -> per-activity maximum
     seen = skipped = 0
@@ -351,10 +382,16 @@ def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationW
         value, slot = record.value, record.timestamp // width
         magnitude = None
         if value.tag == "numeric" and (watched or members):
-            try:
-                magnitude = to_canonical(value, entry, "observed value")
-            except UnitMismatchError:
-                pass
+            magnitude = value.value
+            if value.unit is not None and value.unit != entry.canonical_unit:
+                units = (value.unit, entry.canonical_unit)
+                if units not in factors:
+                    try:
+                        factors[units] = unit_factor(*units)
+                    except IncompatibleUnitsError:  # a foreign unit: not read
+                        factors[units] = None
+                factor = factors[units]
+                magnitude = None if factor is None else magnitude * factor
         if watched:
             _accumulate(states, (*watched, slot), entry, value, magnitude, record.timestamp)
         if members and magnitude is not None:
@@ -373,13 +410,16 @@ def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationW
                 folded = Fraction(100) * trues / booleans
             elif entry.aggregator not in ("max", "min", "sum"):  # mean, ratio, none
                 folded = folded / samples
-            observed = TypedValue.numeric(folded, entry.canonical_unit)
-        for position, slo, constraint, _ in watchers:
+        for position, slo, constraint, _, bound in watchers:
             culprit = None
             if entry.value_type != "numeric":
                 culprit = _first_offender(constraint, entry, state)
-            elif check_constraint_against_value(constraint, observed, entry) != SATISFIED:
-                culprit = observed
+            elif bound is None:  # raises what checking this bound raises
+                observed = TypedValue.numeric(folded, entry.canonical_unit)
+                if check_constraint_against_value(constraint, observed, entry) != SATISFIED:
+                    culprit = observed
+            elif not _compare(constraint.comparator, folded, bound):
+                culprit = TypedValue.numeric(folded, entry.canonical_unit)
             if culprit is not None:
                 event = ViolationEvent(*window.bounds(slot), slo.id, constraint, culprit)
                 events.append((slot, position, event))

@@ -21,6 +21,7 @@ from . import _catalog_data
 from .constraints import KNOWN_UNITS
 from .errors import SchemaViolationError, VocabularyIntegrityError
 from .interchange import _as_str, _check_keys, _want_list, _want_object, _want_str, read_json
+from .parser import _IDENT_RE
 
 __all__ = [
     "TABLE_CONCEPTS",
@@ -125,6 +126,13 @@ class VocabularyEntry:
             _as_str(alias, f"{pointer}/aliases/{i}")
             for i, alias in enumerate(_want_list(data, "aliases", pointer, default=[]))
         )
+        # only identifiers can be named by agreement text or interchange
+        names = {f"{pointer}/term": values["term"]}
+        names.update((f"{pointer}/aliases/{i}", alias) for i, alias in enumerate(aliases))
+        for where, name in names.items():
+            if not _IDENT_RE.match(name):
+                raise SchemaViolationError(
+                    where, "must be a lowercase identifier ([a-z][a-z0-9_]*)")
         try:
             return cls(**values, aliases=aliases)
         except ValueError as exc:

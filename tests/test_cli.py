@@ -4,14 +4,26 @@ Commands run in-process through main(argv) for speed; one subprocess
 smoke test at the end proves the installed entry points work too.
 """
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from iotsla import (
+    TelemetryFormatError,
+    load_builtin_catalog,
+    monitor_document,
+    parse,
+    parse_telemetry,
+)
 from iotsla.cli import main
+from iotsla.interchange import emit_json
 
 from support import (
     ACCURACY_MIN,
@@ -19,6 +31,7 @@ from support import (
     ENCRYPTION_SLO,
     ENCRYPTION_TELEMETRY,
     FIXTURES,
+    fixture_text,
     with_accuracy_slo,
     with_slo,
 )
@@ -239,6 +252,52 @@ def test_match_weights_that_cannot_be_read(capsys, tmp_path, content, where):
     assert err.startswith(f"bad weights file {weights}: ") and where in err
 
 
+def test_match_weights_must_name_terms(capsys, tmp_path):
+    weights = tmp_path / "w.json"
+    weights.write_text('{"latncy": 5}')
+    code, out, err = run(capsys, "match", fx("procure.sla"), fx("alpha.offer.json"),
+                         fx("beta.offer.json"), "--weights", str(weights))
+    assert code == 2 and out == ""
+    assert err.startswith(f"bad weights file {weights}: /latncy: ")
+
+
+def _weighted_scores(capsys, tmp_path, weights, *extra):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(weights))
+    code, out, err = run(capsys, "match", fx("procure.sla"), fx("alpha.offer.json"),
+                         fx("beta.offer.json"), "--weights", str(path), "--json", *extra)
+    if code:
+        return code, err
+    return code, {r["provider_id"]: r["score"] for r in json.loads(out)["reports"]}
+
+
+def _alias_overlay(tmp_path):
+    # ingestion's latency, also named ingest_delay
+    latency = load_builtin_catalog().lookup("latency", "ingestion").to_dict()
+    overlay = tmp_path / "overlay.json"
+    overlay.write_text(json.dumps([dict(latency, aliases=["ingest_delay"])]))
+    return str(overlay)
+
+
+def test_match_weights_may_name_aliases(capsys, tmp_path):
+    overlay = _alias_overlay(tmp_path)
+    by_term = _weighted_scores(capsys, tmp_path, {"latency": 5}, "--catalog", overlay)
+    by_alias = _weighted_scores(capsys, tmp_path, {"ingest_delay": 5}, "--catalog", overlay)
+    assert by_alias == by_term == (0, {"alpha": "1", "beta": "1/7"})
+    assert _weighted_scores(capsys, tmp_path, {}) == (0, {"alpha": "1", "beta": "1/3"})
+
+
+@pytest.mark.parametrize("weights,message", [
+    # a term of ingestion that no requirement of procure.sla names
+    ({"latency": 2, "storage_size": 4},
+     "/storage_size: no requirement on 'ingestion' names 'storage_size'"),
+    ({"latency": 2, "ingest_delay": 4}, "/ingest_delay: 'latency' already weighs 'latency'"),
+])
+def test_match_weights_must_weigh_a_requirement_once(capsys, tmp_path, weights, message):
+    code, err = _weighted_scores(capsys, tmp_path, weights, "--catalog", _alias_overlay(tmp_path))
+    assert code == 2 and err == f"bad weights file {tmp_path / 'w.json'}: {message}\n"
+
+
 # --- monitor ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("width", ["0", "-5", "\u0666\u0660"])
@@ -379,6 +438,66 @@ def test_monitor_requires_valid_document(capsys):
     code, out, _ = run(capsys, "monitor", fx("mut_v004.sla"),
                        fx("calm.telemetry"))
     assert code == 1 and "V004" in out
+
+
+# every line break str.splitlines knows
+_BREAKS = ["\r\n", "\r", "\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+           "\u2028", "\u2029"]
+_TELEMETRY_LINES = st.builds(
+    "{}\t{}\t{}\t{}".format,
+    st.integers(0, 400),
+    st.sampled_from(["net_svc", "hb_sensing", "ingest_svc", "stream_svc", "rhms", "ghost"]),
+    st.sampled_from(["network_delay", "data_freshness", "latency", "latncy"]),
+    st.sampled_from(["0.5 time_unit", "2", "9 time_unit", "1.25", "true", "foo bar", "3 ms"]),
+) | st.sampled_from(["", "  ", "\t"])
+
+
+def _monitor_output(whole):
+    """(exit code, stdout, part of stderr) of ``monitor --json`` on rhms.sla,
+    from what ``parse_telemetry`` gave on the text."""
+    if isinstance(whole, TelemetryFormatError):
+        return 2, "", f"line {whole.line_no}: {whole.message}"
+    records, skipped = whole
+    report = monitor_document(parse(fixture_text("rhms.sla")), records)
+    out = "".join(emit_json(event.to_dict()) + "\n" for event in report.violations)
+    summary = {
+        "violations": len(report.violations),
+        "per_slo": dict(sorted(report.slo_violation_counts.items())),
+        "records": len(records),
+        "skipped_values": skipped,
+        "unknown_records": report.skipped_records,
+        "coverage_gaps": len(report.coverage_gaps),
+    }
+    return 1 if report.violations else 0, out + emit_json({"summary": summary}) + "\n", ""
+
+
+def _read_all(read):
+    try:
+        return read()
+    except TelemetryFormatError as exc:
+        return exc
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=st.lists(st.tuples(_TELEMETRY_LINES, st.sampled_from(_BREAKS)), max_size=20),
+       broken=st.none() | st.integers(0, 20), last_break=st.booleans())
+def test_monitor_json_matches_the_library(tmp_path_factory, lines, broken, last_break):
+    if broken is not None:  # a framing error
+        lines.insert(min(broken, len(lines)), ("1\tnet_svc\tlatency", "\n"))
+    text = "".join(line + brk for line, brk in lines)
+    if lines and not last_break:
+        text = text[:-len(lines[-1][1])]
+    code, out, err = _monitor_output(_read_all(lambda: parse_telemetry(text)))
+
+    # the command line, from a file and from stdin
+    path = tmp_path_factory.mktemp("telemetry") / "t.telemetry"
+    path.write_text(text, encoding="utf-8", newline="")
+    for source in (str(path), "-"):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", _Stdin(text)), \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            assert main(["monitor", fx("rhms.sla"), source, "--json"]) == code
+        assert stdout.getvalue() == out and err in stderr.getvalue()
 
 
 # --- fmt --------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Units, typed values, and constraint checking."""
 
+import sys
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -20,7 +23,15 @@ from iotsla import (
     normalize_unit,
     units_convertible,
 )
-from iotsla.constraints import decimal_repr, decimal_str_or_fraction, mean, unit_family
+from iotsla.constraints import (
+    DECIMAL_RE,
+    _trusted_numeric,
+    decimal_repr,
+    decimal_str_or_fraction,
+    exact_number,
+    mean,
+    unit_family,
+)
 from iotsla.errors import DomainError
 
 
@@ -173,3 +184,91 @@ def test_comparator_trichotomy(a, b):
     value = TypedValue.numeric(a, None)
     verdicts = [check_constraint_against_value(c, value, entry) for c in (lt, eq, gt)]
     assert verdicts.count(SATISFIED) == 1
+
+
+# Numerals of the one grammar, with leading and trailing zeros, and all-zero
+# numerals of any length; JSON adds a sign and an exponent.
+_RUN = st.text("0123456789", min_size=1, max_size=30)
+_PAD = st.integers(0, 6).map("0".__mul__)
+_ZEROS = st.integers(1, 6000).map("0".__mul__)
+
+
+def _numeral(whole, fraction):
+    return f"{whole}.{fraction}" if fraction else whole
+
+
+_NUMERALS = st.builds(
+    lambda pad, whole, fraction, trail: _numeral(pad + whole, fraction and fraction + trail),
+    _PAD, _RUN, st.just("") | _RUN, _PAD,
+) | st.builds(_numeral, _ZEROS, st.just("") | _ZEROS)
+_EXPONENTS = st.just("") | st.builds(
+    "{}{}{}{}".format, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), _PAD,
+    st.integers(0, 60),
+)
+
+
+@given(_NUMERALS)
+def test_the_integer_numeral_path_is_exact(text):
+    assert DECIMAL_RE.fullmatch(text)
+    value = exact_number(text)
+    assert type(value) is Fraction and value == Fraction(Decimal(text))
+
+
+@given(sign=st.sampled_from(["", "-"]), numeral=_NUMERALS, exponent=_EXPONENTS)
+def test_signed_and_exponent_numerals_are_exact(sign, numeral, exponent):
+    text = sign + numeral + exponent
+    value = exact_number(text)
+    assert type(value) is Fraction and value == Fraction(Decimal(text))
+
+
+@pytest.mark.parametrize("digits,accepted", [(4300, True), (4301, False)])
+def test_the_integer_numeral_path_is_bounded(digits, accepted):
+    # 4300 is Python's default int string limit; zeros count as digits, and
+    # so do those an exponent adds
+    for text in ("9" * digits, "9" * (digits - 2) + ".99", "0" * (digits - 1) + "1",
+                 "1" + "0" * (digits - 2) + ".0", "-" + "9" * digits,
+                 f"1e{digits - 1}", f"-1E+{digits - 1}", f"1e-{digits - 1}",
+                 f"0.{'0' * (digits - 40)}1e-38"):
+        if accepted:
+            assert exact_number(text) == Fraction(Decimal(text))
+        else:
+            with pytest.raises(ValueError, match="more than 4300 digits"):
+                exact_number(text)
+    assert exact_number("0" * digits) == exact_number("-" + "0" * digits + ".0e9") == 0
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python has no int string limit")
+def test_the_integer_numeral_path_reads_the_live_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)  # the lowest limit Python takes
+    try:
+        assert exact_number("9" * 640) == 10**640 - 1
+        assert exact_number("0" * 641) == 0
+        for text in ("9" * 641, "9" * 320 + "." + "9" * 321, "1e640"):
+            with pytest.raises(ValueError, match="more than 640 digits"):
+                exact_number(text)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert exact_number("9" * 641) == 10**641 - 1
+
+
+@given(magnitude=st.fractions(), unit=st.none() | st.sampled_from(sorted(KNOWN_UNITS)))
+def test_trusted_values_equal_checked_ones(magnitude, unit):
+    trusted, checked = _trusted_numeric(magnitude, unit), TypedValue.numeric(magnitude, unit)
+    assert trusted == checked and checked == trusted
+    assert hash(trusted) == hash(checked) and {trusted} == {checked}
+
+
+def _bytes_held(build):
+    tracemalloc.start()
+    try:
+        held = [build(Fraction(i, 7)) for i in range(2000)]
+        return tracemalloc.get_traced_memory()[0] // len(held)
+    finally:
+        tracemalloc.stop()
+
+
+def test_trusted_values_are_as_compact_as_checked_ones():
+    assert _bytes_held(lambda m: _trusted_numeric(m, "ms")) <= \
+        _bytes_held(lambda m: TypedValue.numeric(m, "ms"))

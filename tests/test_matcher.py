@@ -184,6 +184,17 @@ def test_rank_offers_computes_each_verdict_once(catalog, monkeypatch):
     assert len(calls) == len(offers) * len(reqs)
 
 
+@pytest.mark.parametrize("metric", ["sampling_rate", "sampling_frequency"])
+@pytest.mark.parametrize("key", ["sampling_rate", "sampling_frequency"])
+def test_weights_match_requirements_by_term(catalog, metric, key):
+    # sampling_frequency is an alias of sensing's sampling_rate: a weight
+    # under either spelling weighs a requirement under either spelling
+    reqs = [_constraint(metric, ">=", 10, "hz"), _constraint("availability", ">=", 99)]
+    offer = ProviderOffer("p", "sensing", {"availability": TypedValue.numeric(100, None)})
+    assert score_offer(reqs, offer, {key: 3}, catalog) == Fraction(1, 4)
+    assert rank_offers(reqs, [offer], {key: 3}, catalog)[0].score == Fraction(1, 4)
+
+
 def test_mixed_concepts_rejected(catalog):
     offers = [
         ProviderOffer("a", "ingestion", {}),

@@ -1,6 +1,7 @@
 """Windowed SLO evaluation over telemetry."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,29 @@ def test_non_ascii_digits_are_no_numerals(rhms_text, digit):
     assert (info.value.line, info.value.col) == (23, 20)
     records, _ = parse_telemetry(f"0\tnet_svc\tnetwork_delay\t{digit} time_unit")
     assert records == []
+
+
+_VALUES = st.one_of(
+    st.tuples(st.from_regex(r"[0-9]{1,12}(\.[0-9]{1,12})?", fullmatch=True),
+              st.sampled_from(["", "ms", "percent"])).map(
+        lambda pair: (" ".join(filter(None, pair)),
+                      TypedValue.numeric(Fraction(Decimal(pair[0])), pair[1] or None))),
+    st.booleans().map(lambda flag: (str(flag).lower(), TypedValue.boolean(flag))),
+    st.from_regex(r"[a-z_]{1,8}", fullmatch=True).filter(lambda t: t not in ("true", "false"))
+    .map(lambda word: (word, TypedValue.text(word))),
+)
+
+
+@given(timestamp=st.integers(0, 10**9), value=_VALUES)
+def test_telemetry_records_equal_checked_ones(timestamp, value):
+    # the reader builds what the grammar checked without the checks; the
+    # result must be the value the checked constructors build
+    text, expected = value
+    (record,), skipped = parse_telemetry(f"{timestamp}\tsvc\tlatency\t{text}")
+    checked = TelemetryRecord(timestamp, "svc", "latency", expected)
+    assert skipped == 0
+    assert record == checked and hash(record) == hash(checked)
+    assert record.value == expected and hash(record.value) == hash(expected)
 
 
 def test_blank_lines_skipped():

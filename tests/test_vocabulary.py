@@ -173,5 +173,24 @@ def test_from_json_rejects_malformed():
     assert len(Catalog.from_json(json.dumps([good]))) == 1
 
 
+@pytest.mark.parametrize("field,value,pointer", [
+    ("term", "Foo Bar", "/0/term"),
+    ("term", "", "/0/term"),
+    ("aliases", ["sample_age", "Foo Bar"], "/0/aliases/1"),
+    ("aliases", [""], "/0/aliases/0"),
+])
+def test_from_json_names_must_be_identifiers(field, value, pointer):
+    # no agreement text or interchange document could name such a term
+    entry = {
+        "term": "x", "concept": "sensing", "description": "d",
+        "value_type": "numeric", "canonical_unit": "ms",
+        "direction": "none", "aggregator": "none", "kind": "qos_metric",
+        field: value,
+    }
+    with pytest.raises(SchemaViolationError) as info:
+        Catalog.from_json(json.dumps([entry]))
+    assert info.value.pointer == pointer and "identifier" in info.value.message
+
+
 def test_builtin_catalog_is_cached():
     assert load_builtin_catalog() is load_builtin_catalog()
