@@ -20,9 +20,11 @@ array of ``{"id", "target", "constraints"}`` so nothing is lost.
 Numbers are written with their exact decimal digits and read back as
 Fractions, so values like 99.95 survive any number of round trips
 unchanged.  Writing is done by a small emitter here rather than
-``json.dumps`` precisely to keep control of number formatting.  Reading
-goes through :func:`read_json`, the package's one JSON reader, which offers,
-weights and catalog overlays share.
+``json.dumps`` precisely to keep control of number formatting; strings go
+through json's C-coded escaper.  Reading goes through :func:`read_json`,
+the package's one JSON reader, which offers, weights and catalog overlays
+share.  A unit must be a non-keyword identifier, as in the text form, so
+every document read here serializes to text that parses back to it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import json
 from datetime import date
 from fractions import Fraction
+from json.encoder import encode_basestring
 from typing import Any
 
 from .constraints import COMPARATORS, TypedValue, decimal_str_or_fraction, exact_number
@@ -57,52 +60,36 @@ __all__ = ["to_interchange", "from_interchange", "emit_json"]
 
 # -- writing -----------------------------------------------------------------
 
-_STR_ESCAPES = {
-    '"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
-    "\b": "\\b", "\f": "\\f",
-}
-
-
-def _emit_str(value: str) -> str:
-    out = ['"']
-    for char in value:
-        if char in _STR_ESCAPES:
-            out.append(_STR_ESCAPES[char])
-        elif ord(char) < 0x20:
-            out.append(f"\\u{ord(char):04x}")
-        else:
-            out.append(char)
-    out.append('"')
-    return "".join(out)
-
-
 def _emit(value: Any, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    # strings, objects and arrays first: they skip Fraction's costly ABC check
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        pad = "  " * indent
+        inner = pad + "  "
+        parts = [
+            f"{inner}{encode_basestring(key)}: {_emit(item, indent + 1)}"
+            for key, item in value.items()
+        ]
+        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        pad = "  " * indent
+        inner = pad + "  "
+        parts = [f"{inner}{_emit(item, indent + 1)}" for item in value]
+        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, Fraction)):
         text = decimal_str_or_fraction(value)
-        return _emit_str(text) if "/" in text else text  # "4/3": valid JSON, exact
-    if isinstance(value, str):
-        return _emit_str(value)
+        return encode_basestring(text) if "/" in text else text  # "4/3": exact
     if isinstance(value, date):
-        return _emit_str(value.isoformat())
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        parts = [f"{inner}{_emit(item, indent + 1)}" for item in value]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [
-            f"{inner}{_emit_str(key)}: {_emit(item, indent + 1)}"
-            for key, item in value.items()
-        ]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+        return encode_basestring(value.isoformat())
     raise TypeError(f"cannot emit {type(value).__name__} as JSON")
 
 
@@ -232,13 +219,13 @@ def _want_str(data: dict, key: str, pointer: str) -> str:
     return _as_str(_want(data, key, pointer), f"{pointer}/{key}")
 
 
+_IDENT_RULE = "must be a lowercase identifier ([a-z][a-z0-9_]*) and not a keyword"
+
+
 def _want_ident(data: dict, key: str, pointer: str) -> str:
     value = _want_str(data, key, pointer)
     if not _IDENT_RE.match(value) or value in KEYWORDS:
-        raise SchemaViolationError(
-            f"{pointer}/{key}",
-            "must be a lowercase identifier ([a-z][a-z0-9_]*) and not a keyword",
-        )
+        raise SchemaViolationError(f"{pointer}/{key}", _IDENT_RULE)
     return value
 
 
@@ -281,7 +268,9 @@ def _read_typed_value(data: dict, pointer: str) -> TypedValue:
     raw = _want(data, "value", pointer)
     unit = data.get("unit")
     if unit is not None:
-        _as_str(unit, f"{pointer}/unit")
+        # the text form writes a unit as a bare word after its number
+        if not _IDENT_RE.match(_as_str(unit, f"{pointer}/unit")) or unit in KEYWORDS:
+            raise SchemaViolationError(f"{pointer}/unit", _IDENT_RULE)
     if isinstance(raw, bool):
         if unit is not None:
             raise SchemaViolationError(f"{pointer}/unit", "booleans carry no unit")

@@ -15,6 +15,7 @@ of a guarantee is not a guarantee.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -160,10 +161,11 @@ def _weights_of(
     weights: Mapping[str, Fraction | int] | None,
     concept: str,
     catalog: Catalog,
-) -> list[Fraction]:
+) -> list[int]:
     """Each requirement's weight, matched by term: a weight given under a
     term or any of its aliases weighs every requirement on that term,
-    however it is spelt.  Terms with no weight weigh 1."""
+    however it is spelt.  Terms with no weight weigh 1.  The weights come
+    back as integers over their least common denominator."""
     by_term: dict[str, Fraction | int] = {}
     for key, weight in (weights or {}).items():
         entry = catalog.lookup(key, concept)
@@ -175,15 +177,15 @@ def _weights_of(
         if weight <= 0:
             raise ValueError(f"weight for {constraint.metric!r} must be positive")
         result.append(weight)
-    return result
+    common = math.lcm(*(w.denominator for w in result))
+    return [w.numerator * (common // w.denominator) for w in result]
 
 
-def _score(weights: list[Fraction], verdicts: Iterable[str]) -> Fraction:
-    total = sum(weights, Fraction(0))
+def _score(weights: list[int], verdicts: Iterable[str]) -> Fraction:
+    total = sum(weights)
     if total == 0:
         return Fraction(1)
-    satisfied = sum((w for w, v in zip(weights, verdicts) if v == SATISFIED), Fraction(0))
-    return satisfied / total
+    return Fraction(sum(w for w, v in zip(weights, verdicts) if v == SATISFIED), total)
 
 
 def score_offer(

@@ -42,8 +42,8 @@ either a document or a :class:`ParseError`, never a crash.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from datetime import date
+from typing import NamedTuple
 
 from .constraints import COMPARATORS, DECIMAL_RE, TypedValue, decimal_repr, exact_number
 from .errors import ParseError
@@ -75,24 +75,29 @@ KEYWORDS = frozenset(
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
+# Whitespace and comments lead into the token after them.  The empty ``eof``
+# alternative always matches, so a match never backtracks into them: it ends
+# at a token, at the end of the input, or at a character no token starts with.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r\n]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<date>%s)
-    | (?P<number>%s)
-    | (?P<ident>[a-z][a-z0-9_]*)
-    | (?P<string>"(?:\\.|[^"\\\n])*")
-    | (?P<op>==|<=|>=|[{}=:,<>])
+      (?:[ \t\r\n]|\#[^\n]*)*
+      (?:
+        (?P<date>%s)
+      | (?P<number>%s)
+      | (?P<ident>[a-z][a-z0-9_]*)
+      | (?P<string>"(?:\\.|[^"\\\n])*")
+      | (?P<op>==|<=|>=|[{}=:,<>])
+      | (?P<eof>)
+      )
     """ % (_DATE_RE.pattern, DECIMAL_RE.pattern),
     re.VERBOSE,
 )
 
 _STRING_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     type: str  # date | number | ident | string | op | eof
     text: str
     line: int
@@ -114,55 +119,51 @@ def _decode(text: str | bytes) -> str:
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of ``text``, one regex match each, then two ``eof`` tokens:
+    looking one token ahead never runs off the end."""
     tokens: list[_Token] = []
+    append = tokens.append
+    match_at = _TOKEN_RE.match
     pos = 0
     line = 1
-    col = 1
-    length = len(text)
-    while pos < length:
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            char = text[pos]
-            if char == '"':
-                raise ParseError("unterminated string literal", line, col)
-            raise ParseError(f"unexpected character {char!r}", line, col)
+    line_start = 0  # offset of the first character of ``line``
+    while True:
+        match = match_at(text, pos)
         kind = match.lastgroup
-        raw = match.group()
-        if kind in ("ws", "comment"):
-            newlines = raw.count("\n")
-            if newlines:
-                line += newlines
-                col = len(raw) - raw.rfind("\n")
-            else:
-                col += len(raw)
-        else:
-            assert kind is not None
-            end_col = col + len(raw)
-            tokens.append(_Token(kind, raw, line, col, line, end_col))
-            col = end_col
+        start = match.start(kind)
+        newlines = text.count("\n", pos, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", pos, start) + 1
+        col = start - line_start + 1
+        if kind == "eof":
+            break
         pos = match.end()
-    tokens.append(_Token("eof", "", line, col, line, col))
+        append(_Token(kind, match.group(kind), line, col, line, col + pos - start))
+    if start < len(text):
+        char = text[start]
+        if char == '"':
+            raise ParseError("unterminated string literal", line, col)
+        raise ParseError(f"unexpected character {char!r}", line, col)
+    eof = _Token("eof", "", line, col, line, col)
+    tokens += (eof, eof)
     return tokens
 
 
 def _unescape_string(token: _Token) -> str:
     body = token.text[1:-1]
-    out: list[str] = []
-    i = 0
-    while i < len(body):
-        char = body[i]
-        if char == "\\":
-            escape = body[i + 1]
-            if escape not in _STRING_ESCAPES:
-                raise ParseError(
-                    f"invalid escape sequence '\\{escape}'", token.line, token.col
-                )
-            out.append(_STRING_ESCAPES[escape])
-            i += 2
-        else:
-            out.append(char)
-            i += 1
-    return "".join(out)
+    if "\\" not in body:
+        return body
+
+    def unescape(match: re.Match) -> str:
+        escape = match.group(1)
+        if escape not in _STRING_ESCAPES:
+            raise ParseError(
+                f"invalid escape sequence '\\{escape}'", token.line, token.col
+            )
+        return _STRING_ESCAPES[escape]
+
+    return _ESCAPE_RE.sub(unescape, body)
 
 
 class _Parser:
@@ -174,8 +175,7 @@ class _Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> _Token:
-        index = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[index]
+        return self.tokens[self.pos + ahead]
 
     def advance(self) -> _Token:
         token = self.tokens[self.pos]

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from iotsla import SchemaViolationError, from_interchange, parse, to_interchange
+from iotsla import SchemaViolationError, from_interchange, parse, serialize, to_interchange
 from iotsla.interchange import emit_json
 
+import interchange_oracle
 from support import gen_document
 
 
@@ -45,6 +46,16 @@ def test_emit_json_exactness():
     assert emit_json({"a": [True, None, "x"]}) == (
         '{\n  "a": [\n    true,\n    null,\n    "x"\n  ]\n}'
     )
+
+
+def test_emit_json_escapes_every_code_point_as_before():
+    # Both escapers work one character at a time, so comparing whole blocks
+    # compares every code point, lone surrogates included.
+    for start in range(0, 0x110000, 0x1000):
+        block = "".join(map(chr, range(start, start + 0x1000)))
+        escaped = interchange_oracle._emit_str(block)
+        assert emit_json(block) == escaped, hex(start)
+        assert emit_json({block: None}) == "{\n  " + escaped + ": null\n}", hex(start)
 
 
 def test_unattached_slos_key_only_when_used(rhms_doc):
@@ -103,3 +114,21 @@ def test_dates_must_have_the_text_form(rhms_doc, raw):
     with pytest.raises(SchemaViolationError) as info:
         from_interchange(json.dumps(data))
     assert info.value.pointer == "/start_date"
+
+
+@pytest.mark.parametrize("unit", ["Mb", "on", "true", "m s", "", "hz\n", 5])
+def test_units_the_text_form_cannot_carry_are_refused(rhms_doc, unit):
+    # serialize writes a unit as a bare word after its number, so only a
+    # non-keyword identifier survives the trip to text and back
+    data = json.loads(to_interchange(rhms_doc))
+    data["services"][0]["config"][0]["unit"] = unit
+    with pytest.raises(SchemaViolationError) as info:
+        from_interchange(json.dumps(data))
+    assert info.value.pointer == "/services/0/config/0/unit"
+
+
+def test_identifier_units_survive_text_and_json(rhms_doc):
+    data = json.loads(to_interchange(rhms_doc))
+    data["services"][0]["config"][0]["unit"] = "mb_2"
+    doc = from_interchange(json.dumps(data))
+    assert parse(serialize(doc)) == doc

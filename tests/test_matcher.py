@@ -106,6 +106,37 @@ def test_random_instances_match_oracle(catalog):
             assert report.rank == ranks[report.provider_id], (i, report)
 
 
+FRACTIONAL_WEIGHTS = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 6), Fraction(3, 4),
+                      10**30 + Fraction(1, 7), Fraction(1, 10**12), 2]
+
+
+def test_fractional_weights_match_oracle(catalog):
+    # the generated weights are whole numbers; these have unlike
+    # denominators, so the scores sum them over a common one
+    rng = random.Random(2718)
+    for i in range(150):
+        concept, reqs, offers, _ = gen_matcher_instance(rng)
+        weights = {c.metric: rng.choice(FRACTIONAL_WEIGHTS) for c in reqs
+                   if rng.random() < 0.8}
+        metrics = [c.metric for c in reqs]
+        scores = {}
+        for offer in offers:
+            verdicts = []
+            for c in reqs:
+                entry = catalog.lookup(c.metric, concept)
+                cap = offer.capabilities.get(c.metric)
+                verdicts.append(oracle_verdict(
+                    entry.direction, c.comparator, c.value.value,
+                    cap.value if cap is not None else None,
+                ))
+            scores[offer.provider_id] = oracle_score(verdicts, metrics, weights)
+            assert score_offer(reqs, offer, weights, catalog) == scores[offer.provider_id]
+        ranks = oracle_ranks(scores)
+        for report in rank_offers(reqs, offers, weights, catalog):
+            assert report.score == scores[report.provider_id], (i, report)
+            assert report.rank == ranks[report.provider_id], (i, report)
+
+
 def test_weight_scale_invariance(catalog):
     # metrics absent from the map weigh 1, so scaling is only meaningful
     # once every metric has an explicit weight
