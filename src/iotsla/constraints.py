@@ -39,6 +39,7 @@ __all__ = [
     "units_convertible",
     "convert",
     "normalize_unit",
+    "type_mismatch",
     "check_constraint_against_value",
     "decimal_repr",
 ]
@@ -249,45 +250,47 @@ def to_canonical(value: TypedValue, entry, what: str) -> Fraction:
         raise UnitMismatchError(f"{what} for {entry.term!r}: {exc}") from None
 
 
+def type_mismatch(entry, metric: str, comparator: str, value: TypedValue) -> str | None:
+    """Why ``metric <comparator> value`` does not fit ``entry``'s value type,
+    or None when it does.
+
+    The one statement of the rule: numeric terms take numbers under any
+    comparator; boolean and textual terms take only ``==`` and a value of
+    their own kind.  The validator reports the reason as V008.
+    """
+    if entry.value_type != "numeric" and comparator != "==":
+        return (
+            f"metric '{metric}' is {entry.value_type}; "
+            f"only '==' applies, not {comparator!r}"
+        )
+    if value.tag not in COMPARABLE_TAGS[entry.value_type]:
+        return f"metric '{metric}' is {entry.value_type} but the value is {value.tag}"
+    return None
+
+
 def check_constraint_against_value(constraint, value: TypedValue, entry) -> str:
     """Evaluate one constraint against one observed value.
 
     ``constraint`` is a :class:`iotsla.model.MetricConstraint`; ``entry`` is
     the :class:`iotsla.vocabulary.VocabularyEntry` the metric resolves to.
     Returns ``SATISFIED`` or ``VIOLATED``.  Never returns ``UNSPECIFIED``:
-    absence of data is the caller's concern.
+    absence of data is the caller's concern.  A bound, then a value, that
+    does not fit the term raises :class:`TypeMismatchError` with the
+    reason :func:`type_mismatch` gives.
     """
     if not entry.matches_term(constraint.metric):
         raise ValueError(
             f"constraint metric {constraint.metric!r} does not name entry {entry.term!r}"
         )
-    bound = constraint.value
-
-    if entry.value_type == "numeric":
-        if bound.tag != "numeric":
-            raise TypeMismatchError(
-                f"{entry.term}: numeric metric constrained with {bound.tag} value"
-            )
-        if value.tag != "numeric":
-            raise TypeMismatchError(
-                f"{entry.term}: numeric metric observed as {value.tag} value"
-            )
-        want = to_canonical(bound, entry, "constraint")
-        got = to_canonical(value, entry, "observed value")
-        ok = _compare(constraint.comparator, got, want)
-        return SATISFIED if ok else VIOLATED
-
-    # Non-numeric metrics only support equality.
-    if constraint.comparator != "==":
-        raise TypeMismatchError(
-            f"{entry.term}: {entry.value_type} metric only supports '==', "
-            f"got {constraint.comparator!r}"
-        )
-    tags = COMPARABLE_TAGS[entry.value_type]
-    if bound.tag not in tags or value.tag not in tags:
-        kind = "boolean" if entry.value_type == "boolean" else "textual"
-        raise TypeMismatchError(f"{entry.term}: {kind} metric needs {kind} values")
-    return SATISFIED if value.value == bound.value else VIOLATED
+    for checked in (constraint.value, value):
+        reason = type_mismatch(entry, constraint.metric, constraint.comparator, checked)
+        if reason is not None:
+            raise TypeMismatchError(reason)
+    if entry.value_type != "numeric":
+        return SATISFIED if value.value == constraint.value.value else VIOLATED
+    want = to_canonical(constraint.value, entry, "constraint")
+    got = to_canonical(value, entry, "observed value")
+    return SATISFIED if _compare(constraint.comparator, got, want) else VIOLATED
 
 
 # The numeral of ``.sla`` text and telemetry values: ASCII digits with an

@@ -53,7 +53,7 @@ from .model import (
     WorkflowActivity,
     build_document,
 )
-from .parser import KEYWORDS, _DATE_RE, _IDENT_RE
+from .parser import _DATE_RE, _is_name
 
 __all__ = ["to_interchange", "from_interchange", "emit_json"]
 
@@ -224,7 +224,7 @@ _IDENT_RULE = "must be a lowercase identifier ([a-z][a-z0-9_]*) and not a keywor
 
 def _want_ident(data: dict, key: str, pointer: str) -> str:
     value = _want_str(data, key, pointer)
-    if not _IDENT_RE.match(value) or value in KEYWORDS:
+    if not _is_name(value):
         raise SchemaViolationError(f"{pointer}/{key}", _IDENT_RULE)
     return value
 
@@ -269,7 +269,7 @@ def _read_typed_value(data: dict, pointer: str) -> TypedValue:
     unit = data.get("unit")
     if unit is not None:
         # the text form writes a unit as a bare word after its number
-        if not _IDENT_RE.match(_as_str(unit, f"{pointer}/unit")) or unit in KEYWORDS:
+        if not _is_name(_as_str(unit, f"{pointer}/unit")):
             raise SchemaViolationError(f"{pointer}/unit", _IDENT_RULE)
     if isinstance(raw, bool):
         if unit is not None:
@@ -376,7 +376,7 @@ def from_interchange(text: str | bytes) -> SlaDocument:
         if not refs:
             raise SchemaViolationError(f"{pointer}/required_services", "must not be empty")
         for j, ref in enumerate(refs):
-            if not isinstance(ref, str) or not _IDENT_RE.match(ref) or ref in KEYWORDS:
+            if not isinstance(ref, str) or not _is_name(ref):
                 raise SchemaViolationError(
                     f"{pointer}/required_services/{j}", "must be an identifier"
                 )

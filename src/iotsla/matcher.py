@@ -21,15 +21,16 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .constraints import (
-    COMPARABLE_TAGS,
     SATISFIED,
     UNSPECIFIED,
     VIOLATED,
     TypedValue,
+    check_constraint_against_value,
     decimal_str_or_fraction,
     to_canonical,
+    type_mismatch,
 )
-from .errors import SchemaViolationError, TypeMismatchError, UnitMismatchError
+from .errors import SchemaViolationError, UnitMismatchError
 from .interchange import (
     _check_keys, _read_typed_value, _want_list, _want_object, _want_str, read_json,
 )
@@ -118,7 +119,9 @@ def satisfies_capability(
 
     Returns ``unspecified`` when the offer does not mention the metric;
     otherwise ``satisfied`` iff the guaranteed bound implies the constraint
-    for every deliverable value.
+    for every deliverable value.  A constraint or capability that does not
+    fit the term's value type raises :class:`TypeMismatchError`, as
+    :func:`check_constraint_against_value` does.
     """
     entry = catalog.lookup(constraint.metric, offer.concept)
     if entry is None:
@@ -137,23 +140,14 @@ def satisfies_capability(
     if capability is None:
         return UNSPECIFIED
 
-    if entry.value_type == "numeric":
-        if constraint.value.tag != "numeric" or capability.tag != "numeric":
-            raise TypeMismatchError(
-                f"{entry.term}: numeric metric needs numeric constraint and capability"
-            )
-        threshold = to_canonical(constraint.value, entry, "constraint unit")
-        bound = to_canonical(capability, entry, "offer unit")
-        lo, hi = _delivered_interval(bound, entry)
-        ok = _interval_satisfies(constraint.comparator, lo, hi, threshold)
-        return SATISFIED if ok else VIOLATED
-
-    # Non-numeric capabilities are exact: delivered == advertised.
-    if constraint.comparator != "==":
-        raise TypeMismatchError(
-            f"{entry.term}: {entry.value_type} metric only supports '=='"
-        )
-    return SATISFIED if capability.value == constraint.value.value else VIOLATED
+    if not entry.value_type == constraint.value.tag == capability.tag == "numeric":
+        # a non-numeric capability is delivered as advertised
+        return check_constraint_against_value(constraint, capability, entry)
+    threshold = to_canonical(constraint.value, entry, "constraint unit")
+    bound = to_canonical(capability, entry, "offer unit")
+    lo, hi = _delivered_interval(bound, entry)
+    ok = _interval_satisfies(constraint.comparator, lo, hi, threshold)
+    return SATISFIED if ok else VIOLATED
 
 
 def _weights_of(
@@ -278,10 +272,10 @@ def load_offer(text: str | bytes, catalog: Catalog) -> ProviderOffer:
                 f"{pointer}/metric", f"duplicate capability for {entry.term!r}"
             )
         value = _read_typed_value(item, pointer)
-        if value.tag not in COMPARABLE_TAGS[entry.value_type]:
-            raise SchemaViolationError(
-                f"{pointer}/value", f"{entry.term!r} is {entry.value_type}, not {value.tag}"
-            )
+        # a capability states a value, so only the value's kind can misfit
+        reason = type_mismatch(entry, metric, "==", value)
+        if reason is not None:
+            raise SchemaViolationError(f"{pointer}/value", reason)
         if value.tag == "numeric":
             try:
                 to_canonical(value, entry, "offer unit")

@@ -63,6 +63,7 @@ from .model import (
     SourceSpan,
     WorkflowActivity,
     build_document,
+    owned_slos,
 )
 
 __all__ = ["KEYWORDS", "parse", "serialize"]
@@ -73,6 +74,13 @@ KEYWORDS = frozenset(
 )
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+
+
+def _is_name(text: str) -> bool:
+    """True for a non-keyword identifier, the only name agreement text can
+    write for an id, a term or a unit."""
+    return _IDENT_RE.match(text) is not None and text not in KEYWORDS
+
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 # Whitespace and comments lead into the token after them.  The empty ``eof``
@@ -572,16 +580,8 @@ def serialize(doc: SlaDocument) -> str:
             "}",
         ]))
 
-    for slo in doc.app_slos:
-        blocks.append(_slo_block(slo, APP_TARGET))
-    for svc in doc.services:
-        for slo in svc.slos:
-            blocks.append(_slo_block(slo, svc.id))
-    for res in doc.resources:
-        for slo in res.slos:
-            blocks.append(_slo_block(slo, res.id))
-    for slo in doc.unattached_slos:
-        blocks.append(_slo_block(slo, slo.target))
+    for owner, _, slo in owned_slos(doc):
+        blocks.append(_slo_block(slo, owner or slo.target))
 
     for act in doc.activities:
         requires = ", ".join(act.required_services)

@@ -13,13 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import COMPARABLE_TAGS, units_convertible
-from .model import MetricConstraint, SlaDocument, Slo, SourceSpan, owned_slos
-from .vocabulary import (
-    Catalog,
-    VocabularyEntry,
-    load_builtin_catalog,
-)
+from .constraints import type_mismatch, units_convertible
+from .model import SlaDocument, Slo, SourceSpan, owned_slos
+from .vocabulary import Catalog, load_builtin_catalog
 
 __all__ = [
     "ERROR",
@@ -85,17 +81,6 @@ def format_diagnostic(diag: Diagnostic, filename: str = "<sla>") -> str:
         f"{filename}:{diag.span.start_line}:{diag.span.start_col}: "
         f"{diag.severity}[{diag.code}]: {diag.message}"
     )
-
-
-def _constraint_type_mismatch(entry: VocabularyEntry, c: MetricConstraint) -> str | None:
-    if entry.value_type != "numeric" and c.comparator != "==":
-        return (
-            f"metric '{c.metric}' is {entry.value_type}; "
-            f"only '==' applies, not {c.comparator!r}"
-        )
-    if c.value.tag not in COMPARABLE_TAGS[entry.value_type]:
-        return f"metric '{c.metric}' is {entry.value_type} but the value is {c.value.tag}"
-    return None
 
 
 def validate(doc: SlaDocument, catalog: Catalog | None = None) -> list[Diagnostic]:
@@ -208,7 +193,7 @@ def validate(doc: SlaDocument, catalog: Catalog | None = None) -> list[Diagnosti
                         f"the canonical unit of '{c.metric}'",
                         c.span, slo.id,
                     )
-            mismatch = _constraint_type_mismatch(entry, c)
+            mismatch = type_mismatch(entry, c.metric, c.comparator, c.value)
             if mismatch is not None:
                 report("V008", ERROR, mismatch, c.span, slo.id)
 

@@ -178,6 +178,8 @@ def test_from_json_rejects_malformed():
     ("term", "", "/0/term"),
     ("aliases", ["sample_age", "Foo Bar"], "/0/aliases/1"),
     ("aliases", [""], "/0/aliases/0"),
+    ("term", "true", "/0/term"),
+    ("aliases", ["on"], "/0/aliases/0"),
 ])
 def test_from_json_names_must_be_identifiers(field, value, pointer):
     # no agreement text or interchange document could name such a term
