@@ -222,7 +222,7 @@ def normalize_unit(value: TypedValue, target_unit: str) -> TypedValue:
     return TypedValue.numeric(convert(value.magnitude, value.unit, target_unit), target_unit)
 
 
-def _compare(comparator: str, left: Fraction, right: Fraction) -> bool:
+def _compare(comparator: str, left: Magnitude, right: Magnitude) -> bool:
     if comparator == "<":
         return left < right
     if comparator == "<=":
@@ -298,6 +298,12 @@ def check_constraint_against_value(constraint, value: TypedValue, entry) -> str:
 DECIMAL_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
 
+# The lowest int string limit ``sys.set_int_max_str_digits`` takes, bar 0
+# for "off": a numeral with no more digits never needs the limit read.
+_LOWEST_INT_LIMIT = 640
+_get_int_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def exact_number(text: str) -> Fraction:
     """Exact value of a numeral such as ``12.5`` or JSON's ``-1.25e3``.
 
@@ -305,16 +311,28 @@ def exact_number(text: str) -> Fraction:
     parser, telemetry and the JSON reader all call it.  The numeral is
     read as the integer of its digits, with its sign, times the power of
     ten its point and exponent give: ``-1.25e3`` is -125 × 10**1, and
-    ``12.50`` is 1250/10**2.
+    ``12.50`` is 1250/10**2.  A plain numeral, digits with an optional
+    point (every ``.sla`` and telemetry numeral), takes a first branch
+    that is just that integer over its power of ten.
 
     A number whose digits are all zero is 0, whatever its length or
     exponent.  Any other number raises ValueError, before any large
     arithmetic, when written out with no exponent it has more digits than
     Python's int string limit (4300 by default, and where the limit is off
-    or absent).  The limit is read on every call.  Every reader shares the
-    bound, so what :func:`decimal_repr` writes of a number read here reads
-    back.
+    or absent).  The limit is read, live, by every call that could pass it.
+    Every reader shares the bound, so what :func:`decimal_repr` writes of
+    a number read here reads back.
     """
+    whole, _, fraction = text.partition(".")
+    digits = whole + fraction
+    if digits.isdigit():  # plain: no sign, no exponent
+        if len(digits) >= _LOWEST_INT_LIMIT:  # shorter ones pass no limit Python takes
+            limit = _get_int_limit() or 4300
+            if max(len(whole), 1) + len(fraction) > limit:
+                if not digits.strip("0"):
+                    return Fraction(0)
+                raise ValueError(f"number too long: more than {limit} digits")
+        return Fraction(int(digits), 10 ** len(fraction))
     mantissa, _, exponent = text.lower().partition("e")
     whole, _, fraction = mantissa.lstrip("-").partition(".")
     digits = whole + fraction
@@ -322,7 +340,7 @@ def exact_number(text: str) -> Fraction:
         return Fraction(0)
     shift = int(exponent or 0)
     point = len(whole) + shift
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    limit = _get_int_limit() or 4300
     # the bound is at least len(digits), so int() below stays in the limit
     if max(point, 1) + max(len(digits) - point, 0) > limit:
         raise ValueError(f"number too long: more than {limit} digits")

@@ -17,6 +17,20 @@ afterwards, once per window with samples: O(records + windows ×
 constraints).  The accumulators merge in any order, so results do not
 depend on record order.
 
+Records keep exact Fractions, and the fold reads each as its integer
+(numerator, denominator) pair.  Samples, bounds and window aggregates are
+held as such pairs with positive denominators: sums add over the least
+common denominator, a mean multiplies the denominator by the sample
+count, and a check cross-multiplies, so no window divides or compares a
+Fraction.  A Fraction is built only for a reported value, equal to the
+one Fraction arithmetic gives, or to check a bound that is not in
+canonical units.
+
+Telemetry is read one line at a time.  The common numeric line is taken
+apart by one match of one compiled pattern; every other line (booleans,
+text, blanks, framing errors) takes the general per-line path, with the
+same records, skips and errors.
+
 Aggregation per window follows the metric's catalog aggregator: ``max``
 for worst-case metrics like latency, ``mean`` for utilization-like ones,
 ``ratio`` for availability/loss style metrics (boolean samples fold to the
@@ -29,9 +43,11 @@ textual ones); other samples are ignored.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
+from math import lcm
 from typing import Callable, Iterable
 
 from .constraints import (
@@ -97,6 +113,8 @@ class EvaluationWindow:
     width: int = 60
 
     def __post_init__(self):
+        if not isinstance(self.width, int) or isinstance(self.width, bool):
+            raise ValueError(f"window width must be an int, not {type(self.width).__name__}")
         if self.width <= 0:
             raise ValueError("window width must be positive")
 
@@ -168,6 +186,14 @@ class MonitorReport:
 
 # -- telemetry input ---------------------------------------------------------
 
+# The common line, ``ts<TAB>target<TAB>metric<TAB>numeral[ unit]``, with an
+# optional "\n".  The timestamp has at most 640 digits, the lowest int
+# string limit Python takes, and the unit holds no space, tab or line
+# break, so each group is what the general path below reads from the
+# line.  Any line the pattern refuses takes that path.
+_NUMERIC_LINE_RE = re.compile(
+    r"([0-9]{1,640})\t([^\t]+)\t([^\t]+)\t(%s)(?: ([^ \t\r\n]+))?\n?" % DECIMAL_RE.pattern)
+
 _BOOLEANS = {"true": TypedValue.boolean(True), "false": TypedValue.boolean(False)}
 
 
@@ -204,7 +230,19 @@ def parse_telemetry(source: str | Iterable[str]) -> tuple[list[TelemetryRecord],
         lines = source
     records: list[TelemetryRecord] = []
     skipped = 0
+    numeric_line = _NUMERIC_LINE_RE.fullmatch
     for line_no, raw in enumerate(lines, start=1):
+        match = numeric_line(raw)
+        if match is not None:
+            ts_text, target_id, metric, numeral, unit = match.groups()
+            try:
+                magnitude = exact_number(numeral)
+            except ValueError:  # more digits than exact_number takes
+                skipped += 1
+                continue
+            records.append(_trusted_record(int(ts_text), target_id, metric,
+                                           _trusted_numeric(magnitude, unit)))
+            continue
         line = raw.rstrip("\n").rstrip("\r")
         if not line.strip():
             continue
@@ -251,9 +289,12 @@ def _trusted_record(timestamp: int, target_id: str, metric: str,
 def _as_window(window: EvaluationWindow | int | None) -> EvaluationWindow:
     if window is None:
         return EvaluationWindow()
-    if isinstance(window, int):
+    if isinstance(window, EvaluationWindow):
+        return window
+    if isinstance(window, int):  # EvaluationWindow refuses a bool or width <= 0
         return EvaluationWindow(window)
-    return window
+    raise ValueError(
+        f"window must be an EvaluationWindow, an int or None, not {type(window).__name__}")
 
 
 class _Index:
@@ -262,7 +303,8 @@ class _Index:
     ``homes``: record target -> (home target, concept), one home for ``app``
     and the document id; ``watchers``: (home, term) -> [(position, slo,
     constraint, entry, bound)] in declaration order, where ``bound`` is a
-    numeric constraint's value in canonical units, or None when it has none;
+    numeric constraint's value in canonical units as (numerator,
+    denominator), or None when it has none;
     ``members``: service -> positions of the activities requiring it, filled
     only for ``e2e``.
     """
@@ -283,7 +325,7 @@ class _Index:
         bound = None
         if entry.value_type == "numeric" and constraint.value.tag == "numeric":
             try:
-                bound = to_canonical(constraint.value, entry, "constraint")
+                bound = to_canonical(constraint.value, entry, "constraint").as_integer_ratio()
             except UnitMismatchError:
                 pass  # check_constraint_against_value raises it per window
         self.watchers.setdefault((home, entry.term), []).append(
@@ -326,27 +368,38 @@ def _document_index(doc: SlaDocument, catalog: Catalog) -> _Index:
 
 
 def _accumulate(states: dict, key: tuple, entry: VocabularyEntry, value: TypedValue,
-                magnitude: Fraction | None, timestamp: int) -> None:
-    """Fold one sample into its (home, term, window) state: for numeric
-    metrics ``[max | min | sum, samples, trues, booleans]`` (booleans only
-    for ``ratio``), else each comparable value's earliest timestamp."""
+                sample: tuple[int, int] | None, timestamp: int) -> None:
+    """Fold one sample into its (home, term, window) state.
+
+    For numeric metrics the state is ``[num, den, samples, trues,
+    booleans]``: num/den, with den > 0 and not reduced, is the max, min or
+    sum of the numeric samples, each given as ``sample`` = (num, den) in
+    canonical units (booleans are counted only for ``ratio``).  Otherwise
+    it maps each comparable value to its earliest timestamp.
+    """
     if entry.value_type != "numeric":
         if value.tag in COMPARABLE_TAGS[entry.value_type]:
             firsts = states.setdefault(key, {})
             firsts[value] = min(timestamp, firsts.get(value, timestamp))
-    elif magnitude is not None:
-        state = states.setdefault(key, [magnitude, 0, 0, 0])
+    elif sample is not None:
+        num, den = sample
+        state = states.setdefault(key, [num, den, 0, 0, 0])
         aggregator = entry.aggregator
-        if not state[1] or (aggregator == "max" and magnitude > state[0]) or (
-                aggregator == "min" and magnitude < state[0]):
-            state[0] = magnitude
+        if not state[2] or (aggregator == "max" and num * state[1] > state[0] * den) or (
+                aggregator == "min" and num * state[1] < state[0] * den):
+            state[0], state[1] = num, den
         elif aggregator not in ("max", "min"):
-            state[0] += magnitude
-        state[1] += 1
+            if den == state[1]:
+                state[0] += num
+            else:  # over the least common denominator, so it stays small
+                common = lcm(state[1], den)
+                state[0] = state[0] * (common // state[1]) + num * (common // den)
+                state[1] = common
+        state[2] += 1
     elif value.tag == "boolean" and entry.aggregator == "ratio":
-        state = states.setdefault(key, [None, 0, 0, 0])
-        state[2] += value.value
-        state[3] += 1
+        state = states.setdefault(key, [0, 1, 0, 0, 0])
+        state[3] += value.value
+        state[4] += 1
 
 
 def _first_offender(constraint: MetricConstraint, entry: VocabularyEntry,
@@ -365,61 +418,70 @@ def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationW
     """
     routes: dict[tuple[str, str], tuple | None] = {}  # (target id, metric) -> route
     entries: dict[tuple[str, str], VocabularyEntry | None] = {}  # (metric, concept) -> entry
-    factors: dict[tuple[str, str], Fraction | None] = {}  # (unit, canonical unit) -> factor
+    # (unit, canonical unit) -> factor as (num, den)
+    factors: dict[tuple[str, str], tuple[int, int] | None] = {}
     states: dict[tuple[str, str, int], list | dict] = {}  # (home, term, window) -> state
-    maxima: dict[int, list[Fraction | None]] = {}  # window -> per-activity maximum
+    # window -> per-activity maximum as (num, den)
+    maxima: dict[int, list[tuple[int, int] | None]] = {}
     seen = skipped = 0
     width = window.width
     for record in records:
         seen += 1
         key = (record.target_id, record.metric)
-        if key not in routes:
-            routes[key] = index.route(*key, entries)
-        if routes[key] is None:
+        route = routes.get(key, False)
+        if route is False:
+            route = routes[key] = index.route(*key, entries)
+        if route is None:
             skipped += 1
             continue
-        entry, watched, members = routes[key]
+        entry, watched, members = route
         value, slot = record.value, record.timestamp // width
-        magnitude = None
+        sample = None  # the value in canonical units as (num, den), den > 0
         if value.tag == "numeric" and (watched or members):
-            magnitude = value.value
+            sample = value.value.as_integer_ratio()
             if value.unit is not None and value.unit != entry.canonical_unit:
                 units = (value.unit, entry.canonical_unit)
                 if units not in factors:
                     try:
-                        factors[units] = unit_factor(*units)
+                        factors[units] = unit_factor(*units).as_integer_ratio()
                     except IncompatibleUnitsError:  # a foreign unit: not read
                         factors[units] = None
                 factor = factors[units]
-                magnitude = None if factor is None else magnitude * factor
+                sample = None if factor is None else (
+                    sample[0] * factor[0], sample[1] * factor[1])
         if watched:
-            _accumulate(states, (*watched, slot), entry, value, magnitude, record.timestamp)
-        if members and magnitude is not None:
+            _accumulate(states, (*watched, slot), entry, value, sample, record.timestamp)
+        if members and sample is not None:
+            num, den = sample
             peaks = maxima.get(slot) or maxima.setdefault(slot, [None] * len(index.activities))
             for position in members:
-                if peaks[position] is None or magnitude > peaks[position]:
-                    peaks[position] = magnitude
+                peak = peaks[position]
+                if peak is None or num * peak[1] > peak[0] * den:
+                    peaks[position] = sample
 
+    # A numeric window's aggregate is num/den with den > 0, and each bound
+    # is bound_num/bound_den, so num * bound_den against bound_num * den
+    # compares them exactly in ints; a Fraction is built only to report.
     events = []
     for (home, term, slot), state in states.items():
         watchers = index.watchers[home, term]
         entry = watchers[0][3]
         if entry.value_type == "numeric":
-            folded, samples, trues, booleans = state
+            num, den, samples, trues, booleans = state
             if not samples:  # ratio over boolean samples only
-                folded = Fraction(100) * trues / booleans
+                num, den = 100 * trues, booleans
             elif entry.aggregator not in ("max", "min", "sum"):  # mean, ratio, none
-                folded = folded / samples
+                den *= samples
         for position, slo, constraint, _, bound in watchers:
             culprit = None
             if entry.value_type != "numeric":
                 culprit = _first_offender(constraint, entry, state)
             elif bound is None:  # raises what checking this bound raises
-                observed = TypedValue.numeric(folded, entry.canonical_unit)
+                observed = TypedValue.numeric(Fraction(num, den), entry.canonical_unit)
                 if check_constraint_against_value(constraint, observed, entry) != SATISFIED:
                     culprit = observed
-            elif not _compare(constraint.comparator, folded, bound):
-                culprit = TypedValue.numeric(folded, entry.canonical_unit)
+            elif not _compare(constraint.comparator, num * bound[1], bound[0] * den):
+                culprit = TypedValue.numeric(Fraction(num, den), entry.canonical_unit)
             if culprit is not None:
                 event = ViolationEvent(*window.bounds(slot), slo.id, constraint, culprit)
                 events.append((slot, position, event))
@@ -431,7 +493,7 @@ def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationW
         gaps += [CoverageGap(start, end, activity_id,
                              f"no time samples for activity '{activity_id}' in this window")
                  for activity_id, peak in zip(index.activities, maxima[slot]) if peak is None]
-        total = sum((peak for peak in maxima[slot] if peak is not None), Fraction(0))
+        total = sum((Fraction(*peak) for peak in maxima[slot] if peak is not None), Fraction(0))
         observed = TypedValue.numeric(total, e2e_entry.canonical_unit)
         events += [(slot, position, ViolationEvent(start, end, slo.id, constraint, observed))
                    for position, slo, constraint in index.e2e

@@ -12,6 +12,7 @@ from iotsla import (
     IncompatibleUnitsError,
     KNOWN_UNITS,
     MetricConstraint,
+    ParseError,
     SATISFIED,
     TypeMismatchError,
     TypedValue,
@@ -21,6 +22,8 @@ from iotsla import (
     convert,
     load_builtin_catalog,
     normalize_unit,
+    parse,
+    parse_telemetry,
     units_convertible,
 )
 from iotsla.constraints import (
@@ -33,6 +36,8 @@ from iotsla.constraints import (
     unit_family,
 )
 from iotsla.errors import DomainError
+
+from support import fixture_text
 
 
 CATALOG = load_builtin_catalog()
@@ -248,9 +253,24 @@ def test_the_integer_numeral_path_reads_the_live_limit():
         for text in ("9" * 641, "9" * 320 + "." + "9" * 321, "1e640"):
             with pytest.raises(ValueError, match="more than 640 digits"):
                 exact_number(text)
+        # .sla text and telemetry read numerals through the plain branch,
+        # and refuse one digit past the live limit
+        for numeral in ("9" * 641, "9" * 320 + "." + "9" * 321):
+            with pytest.raises(ParseError, match="more than 640 digits"):
+                parse(_sla_with(numeral))
+            records, skipped = parse_telemetry(f"0\tsvc\tlatency\t{numeral}\n"
+                                               f"1\tsvc\tlatency\t{numeral} ms")
+            assert (records, skipped) == ([], 2)
+        assert parse_telemetry(f"0\tsvc\tlatency\t{'9' * 640}")[0][0].value.value == 10**640 - 1
     finally:
         sys.set_int_max_str_digits(old)
     assert exact_number("9" * 641) == 10**641 - 1
+    assert parse_telemetry(f"0\tsvc\tlatency\t{'9' * 641}")[0][0].value.value == 10**641 - 1
+
+
+def _sla_with(numeral: str) -> str:
+    return fixture_text("rhms.sla").replace(
+        "network_delay <= 1 time_unit", f"network_delay <= {numeral} time_unit")
 
 
 @given(magnitude=st.fractions(), unit=st.none() | st.sampled_from(sorted(KNOWN_UNITS)))

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from iotsla import (
+    SATISFIED,
+    VIOLATED,
     Catalog,
     EmptyWindowError,
     MetricConstraint,
@@ -16,6 +18,7 @@ from iotsla import (
     TelemetryFormatError,
     TypedValue,
     VocabularyEntry,
+    check_constraint_against_value,
     load_builtin_catalog,
     parse,
 )
@@ -480,3 +483,88 @@ def test_data_completeness_and_miss_ratio():
             data_completeness(*bad)
         with pytest.raises(Exception):
             miss_ratio(*bad)
+
+
+# --- window arguments -------------------------------------------------------------
+
+_BAD_WINDOWS = [1.5, 60.0, "60", True, False, 0, -60, Fraction(60)]
+
+
+@pytest.mark.parametrize("window", _BAD_WINDOWS, ids=repr)
+def test_window_arguments_are_checked(rhms_doc, catalog, window):
+    # a window is None, an EvaluationWindow, or a positive int that is not a
+    # bool; anything else is refused before any record is read
+    records = _records("spike.telemetry")
+    states = [TelemetryRecord(t, "svc", "availability_state", TypedValue.boolean(True))
+              for t in (0, 70)]
+    calls = {
+        "evaluate_window": lambda: evaluate_window(
+            _slo("latency", "<=", 5), records, window, catalog, concept="ingestion"),
+        "availability_ratio": lambda: availability_ratio(states, window),
+        "end_to_end_response": lambda: end_to_end_response(rhms_doc, records, window, catalog),
+        "monitor_document": lambda: monitor_document(rhms_doc, records, window),
+        "EvaluationWindow": lambda: EvaluationWindow(window),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError):
+            call()
+            pytest.fail(f"{name} took the window {window!r}")
+
+
+# --- ties between a window's aggregate and its bound ------------------------------
+
+def _tie_catalog():
+    def entry(aggregator, unit):
+        return VocabularyEntry(
+            term=f"tie_{aggregator}", concept="networking", description="tie probe",
+            value_type="numeric", canonical_unit=unit, direction="lower_is_better",
+            aggregator=aggregator, kind="qos_metric")
+
+    return load_builtin_catalog().merge(Catalog([
+        entry("max", "ms"), entry("min", "ms"), entry("sum", "ms"), entry("mean", "ms"),
+        entry("ratio", "percent"),
+    ]))
+
+
+def _ms(value, unit="ms"):
+    return TypedValue.numeric(Fraction(value), unit)
+
+
+# aggregator, samples, the window's aggregate in canonical units, and the
+# same figure in another unit of the family
+_TIES = {
+    "max": ([_ms(1000), _ms("1.5", "s"), _ms("0.2", "s")], Fraction(1500), "s"),
+    "min": ([_ms("1.5", "s"), _ms(2000), _ms(1600)], Fraction(1500), "s"),
+    "sum": ([_ms(500), _ms("0.25", "s"), _ms(750)], Fraction(1500), "s"),
+    "mean": ([_ms(1, "s"), _ms(2000)], Fraction(1500), "s"),
+    "mean_thirds": ([_ms(1), _ms(1), _ms(2)], Fraction(4, 3), "ms"),
+    "ratio": ([_ms(50, "percent"), _ms("0.75", "ratio"), _ms(100, "percent")],
+              Fraction(75), "ratio"),
+    "ratio_booleans": ([TypedValue.boolean(b) for b in (True, True, False, True)],
+                       Fraction(75), "ratio"),
+}
+
+
+@pytest.mark.parametrize("comparator", ["<", "<=", ">", ">=", "=="])
+@pytest.mark.parametrize("case", sorted(_TIES))
+@pytest.mark.parametrize("offset", [Fraction(0), Fraction(-1, 10**6), Fraction(1, 10**6)],
+                         ids=["equal", "bound_below", "bound_above"])
+def test_window_verdicts_at_and_beside_the_bound(case, comparator, offset):
+    # the fold compares integers; its verdict must be the checker's on the
+    # exact aggregate, including when the two are equal
+    samples, aggregate, bound_unit = _TIES[case]
+    term = "tie_" + case.split("_")[0]
+    catalog = _tie_catalog()
+    entry = catalog.lookup(term, "networking")
+    scale = 1 if bound_unit == entry.canonical_unit else {"s": 1000, "ratio": 100}[bound_unit]
+    constraint = MetricConstraint(
+        term, comparator, TypedValue.numeric((aggregate + offset) / scale, bound_unit))
+    slo = Slo("s", "svc", (constraint,))
+    records = [TelemetryRecord(t, "svc", term, value) for t, value in enumerate(samples)]
+    events = evaluate_window(slo, records, 60, catalog, concept="networking")
+    observed = TypedValue.numeric(aggregate, entry.canonical_unit)
+    expected = check_constraint_against_value(constraint, observed, entry)
+    assert (VIOLATED if events else SATISFIED) == expected
+    assert [e.observed for e in events] == ([observed] if events else [])
+    if offset == 0:
+        assert expected == (SATISFIED if "=" in comparator else VIOLATED)
