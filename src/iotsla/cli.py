@@ -21,28 +21,21 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .constraints import decimal_str_or_fraction
 from .errors import (
     ParseError,
     SchemaViolationError,
     SlaError,
     TelemetryFormatError,
 )
-from .interchange import _want_object, emit_json, read_json
-from .matcher import load_offer, rank_offers, render_report_table
-from .model import MetricConstraint, SlaDocument, owned_slos
-from .monitor import EvaluationWindow, monitor_document, parse_telemetry
-from .parser import parse, serialize
-from .validator import ERROR, format_diagnostic, validate
-from .vocabulary import (
-    TERM_KINDS,
-    VALID_CONCEPTS,
-    Catalog,
-    load_builtin_catalog,
-)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .model import MetricConstraint, SlaDocument
+    from .vocabulary import Catalog
 
 __all__ = ["main", "entrypoint"]
 
@@ -68,6 +61,8 @@ def _read_text(path: str) -> str:
 
 
 def _load_catalog(overlay_path: str | None) -> Catalog:
+    from .vocabulary import Catalog, load_builtin_catalog
+
     catalog = load_builtin_catalog()
     if overlay_path is None:
         return catalog
@@ -79,6 +74,8 @@ def _load_catalog(overlay_path: str | None) -> Catalog:
 
 
 def _parse_sla(path: str) -> SlaDocument:
+    from .parser import parse
+
     text = _read_text(path)
     try:
         return parse(text)
@@ -90,6 +87,8 @@ def _parse_sla(path: str) -> SlaDocument:
 
 def _validate_or_fail(path: str, catalog: Catalog) -> SlaDocument:
     """Parse and validate; abort with diagnostics when errors exist."""
+    from .validator import ERROR, format_diagnostic, validate
+
     doc = _parse_sla(path)
     diagnostics = validate(doc, catalog)
     errors = [d for d in diagnostics if d.severity == ERROR]
@@ -103,10 +102,14 @@ def _validate_or_fail(path: str, catalog: Catalog) -> SlaDocument:
 
 
 def _cmd_validate(args) -> int:
+    from .validator import ERROR, format_diagnostic, validate
+
     catalog = _load_catalog(args.catalog)
     doc = _parse_sla(args.path)
     diagnostics = validate(doc, catalog)
     if args.json:
+        from .interchange import emit_json
+
         print(emit_json([d.to_dict() for d in diagnostics]))
     else:
         for diag in diagnostics:
@@ -121,6 +124,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_vocab(args) -> int:
+    from .vocabulary import TERM_KINDS, VALID_CONCEPTS
+
     catalog = _load_catalog(args.catalog)
     if args.vocab_cmd == "list":
         if args.concept is not None and args.concept not in VALID_CONCEPTS:
@@ -129,6 +134,8 @@ def _cmd_vocab(args) -> int:
             raise _CliFailure(2, f"unknown term kind: {args.kind}")
         concepts = [args.concept] if args.concept else list(VALID_CONCEPTS)
         if args.json:
+            from .interchange import emit_json
+
             entries = []
             for concept in concepts:
                 entries.extend(e.to_dict() for e in catalog.applicable_terms(concept, args.kind))
@@ -151,6 +158,8 @@ def _cmd_vocab(args) -> int:
         if entry is None:
             raise _CliFailure(2, f"no term {args.term!r} for concept {args.concept!r}")
         if args.json:
+            from .interchange import emit_json
+
             print(emit_json(entry.to_dict()))
             return 0
         print(f"term:           {entry.term}")
@@ -182,6 +191,10 @@ def _load_weights(path: str | None, requirements: list[MetricConstraint],
                   concept: str, catalog: Catalog) -> dict[str, Fraction] | None:
     """Metric weights.  Every key must name, by term or alias of
     ``concept``, a term some requirement names, and no two keys one term."""
+    from fractions import Fraction
+
+    from .interchange import _want_object, read_json
+
     if path is None:
         return None
     text = _read_text(path)
@@ -209,6 +222,10 @@ def _load_weights(path: str | None, requirements: list[MetricConstraint],
 
 
 def _cmd_match(args) -> int:
+    from .interchange import emit_json
+    from .matcher import load_offer, rank_offers, render_report_table
+    from .model import owned_slos
+
     catalog = _load_catalog(args.catalog)
     doc = _validate_or_fail(args.request, catalog)
 
@@ -258,6 +275,9 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_monitor(args) -> int:
+    from .constraints import decimal_str_or_fraction
+    from .monitor import EvaluationWindow, monitor_document, parse_telemetry
+
     catalog = _load_catalog(args.catalog)
     doc = _validate_or_fail(args.sla, catalog)
     telemetry_text = _read_text(args.telemetry)
@@ -267,6 +287,8 @@ def _cmd_monitor(args) -> int:
         raise _CliFailure(2, f"{args.telemetry}: {exc}") from None
 
     report = monitor_document(doc, records, EvaluationWindow(args.window), catalog)
+    if args.json:
+        from .interchange import emit_json
 
     def value_text(value) -> str:
         if value.tag == "numeric":
@@ -317,6 +339,8 @@ def _cmd_monitor(args) -> int:
 
 
 def _cmd_fmt(args) -> int:
+    from .parser import parse, serialize
+
     text = _read_text(args.path)
     try:
         doc = parse(text)

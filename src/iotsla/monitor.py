@@ -21,7 +21,8 @@ Records keep exact Fractions, and the fold reads each as its integer
 (numerator, denominator) pair.  Samples, bounds and window aggregates are
 held as such pairs with positive denominators: sums add over the least
 common denominator, a mean multiplies the denominator by the sample
-count, and a check cross-multiplies, so no window divides or compares a
+count, an end-to-end figure sums the activities' maxima the same way,
+and a check cross-multiplies, so no window divides or compares a
 Fraction.  A Fraction is built only for a reported value, equal to the
 one Fraction arithmetic gives, or to check a bound that is not in
 canonical units.
@@ -322,14 +323,8 @@ class _Index:
         entry = self.catalog.lookup(constraint.metric, concept)
         if entry is None:
             return
-        bound = None
-        if entry.value_type == "numeric" and constraint.value.tag == "numeric":
-            try:
-                bound = to_canonical(constraint.value, entry, "constraint").as_integer_ratio()
-            except UnitMismatchError:
-                pass  # check_constraint_against_value raises it per window
         self.watchers.setdefault((home, entry.term), []).append(
-            (position, slo, constraint, entry, bound))
+            (position, slo, constraint, entry, _canonical_bound(constraint, entry)))
 
     def route(self, target_id: str, metric: str, entries: dict):
         """(entry, watched key or None, activity positions); None if unknown."""
@@ -344,6 +339,18 @@ class _Index:
         watched = (home, entry.term) if (home, entry.term) in self.watchers else None
         members = self.members.get(target_id, ()) if entry.term in LATENCY_FAMILY else ()
         return entry, watched, members
+
+
+def _canonical_bound(constraint: MetricConstraint,
+                     entry: VocabularyEntry) -> tuple[int, int] | None:
+    """A numeric constraint's value in ``entry``'s canonical unit as
+    (numerator, denominator), or None when it has none."""
+    if entry.value_type == "numeric" and constraint.value.tag == "numeric":
+        try:
+            return to_canonical(constraint.value, entry, "constraint").as_integer_ratio()
+        except UnitMismatchError:
+            pass  # check_constraint_against_value raises it per window
+    return None
 
 
 def _document_index(doc: SlaDocument, catalog: Catalog) -> _Index:
@@ -391,15 +398,22 @@ def _accumulate(states: dict, key: tuple, entry: VocabularyEntry, value: TypedVa
         elif aggregator not in ("max", "min"):
             if den == state[1]:
                 state[0] += num
-            else:  # over the least common denominator, so it stays small
-                common = lcm(state[1], den)
-                state[0] = state[0] * (common // state[1]) + num * (common // den)
-                state[1] = common
+            else:
+                state[0], state[1] = _plus(state[0], state[1], num, den)
         state[2] += 1
     elif value.tag == "boolean" and entry.aggregator == "ratio":
         state = states.setdefault(key, [0, 1, 0, 0, 0])
         state[3] += value.value
         state[4] += 1
+
+
+def _plus(num: int, den: int, other_num: int, other_den: int) -> tuple[int, int]:
+    """num/den + other_num/other_den as (num, den), over the least common
+    denominator so that it stays small."""
+    if den == other_den:
+        return num + other_num, den
+    common = lcm(den, other_den)
+    return num * (common // den) + other_num * (common // other_den), common
 
 
 def _first_offender(constraint: MetricConstraint, entry: VocabularyEntry,
@@ -486,18 +500,34 @@ def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationW
                 event = ViolationEvent(*window.bounds(slot), slo.id, constraint, culprit)
                 events.append((slot, position, event))
 
+    # End to end, the window's figure is the sum of the activities' maxima,
+    # num/den again, checked against each bound the same way.
     gaps = []
     e2e_entry = index.catalog.lookup(_E2E_METRIC, APPLICATION_CONCEPT)
+    e2e = [(position, slo, constraint, _canonical_bound(constraint, e2e_entry))
+           for position, slo, constraint in index.e2e]
     for slot in sorted(maxima):
         start, end = window.bounds(slot)
         gaps += [CoverageGap(start, end, activity_id,
                              f"no time samples for activity '{activity_id}' in this window")
                  for activity_id, peak in zip(index.activities, maxima[slot]) if peak is None]
-        total = sum((Fraction(*peak) for peak in maxima[slot] if peak is not None), Fraction(0))
-        observed = TypedValue.numeric(total, e2e_entry.canonical_unit)
-        events += [(slot, position, ViolationEvent(start, end, slo.id, constraint, observed))
-                   for position, slo, constraint in index.e2e
-                   if check_constraint_against_value(constraint, observed, e2e_entry) != SATISFIED]
+        num, den = 0, 1
+        for peak in maxima[slot]:
+            if peak is not None:
+                num, den = _plus(num, den, *peak)
+        observed = None  # built once, for the first check that needs it
+        for position, slo, constraint, bound in e2e:
+            if bound is not None and _compare(constraint.comparator, num * bound[1],
+                                              bound[0] * den):
+                continue
+            if observed is None:
+                observed = TypedValue.numeric(Fraction(num, den), e2e_entry.canonical_unit)
+            # with no bound, the checker decides, raising what it raises
+            if bound is None and check_constraint_against_value(
+                    constraint, observed, e2e_entry) == SATISFIED:
+                continue
+            events.append((slot, position, ViolationEvent(start, end, slo.id, constraint,
+                                                          observed)))
     events.sort(key=lambda item: item[:2])
     return [event for _, _, event in events], gaps, seen, skipped
 

@@ -20,10 +20,6 @@ from typing import Iterable, Iterator
 from . import _catalog_data
 from .constraints import KNOWN_UNITS
 from .errors import SchemaViolationError, VocabularyIntegrityError
-from .interchange import (
-    _IDENT_RULE, _as_str, _check_keys, _want_list, _want_object, _want_str, read_json,
-)
-from .parser import _is_name
 
 __all__ = [
     "TABLE_CONCEPTS",
@@ -120,6 +116,13 @@ class VocabularyEntry:
 
     @classmethod
     def from_dict(cls, data: dict, pointer: str = "") -> "VocabularyEntry":
+        # imported here so that the builtin catalog loads without the
+        # agreement language
+        from .interchange import (
+            _IDENT_RULE, _as_str, _check_keys, _want_list, _want_object, _want_str,
+        )
+        from .parser import _is_name
+
         fields = ("term", "concept", "description", "value_type",
                   "canonical_unit", "direction", "aggregator", "kind")
         _check_keys(_want_object(data, pointer or "/"), {*fields, "aliases"}, pointer)
@@ -231,6 +234,8 @@ class Catalog:
     @classmethod
     def from_json(cls, text: str | bytes) -> "Catalog":
         """Read a catalog (an overlay, say) from a JSON array of entries."""
+        from .interchange import read_json
+
         data = read_json(text)
         if not isinstance(data, list):
             raise SchemaViolationError("/", "catalog must be a JSON array")

@@ -1,5 +1,6 @@
 """Windowed SLO evaluation over telemetry."""
 
+import dataclasses
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -545,13 +546,54 @@ _TIES = {
 }
 
 
+# End to end on rhms.sla, with the time metrics in ms: the activities'
+# maxima 3/2, 1/3 and 7/4 ms have different denominators and sum to
+# 43/12 ms.  Case -> the unit the bound is written in.
+_E2E_SAMPLES = [
+    ("hb_sensing", "data_freshness", _ms("1.5")),
+    ("ingest_svc", "latency", _ms(Fraction(1, 3))),
+    ("ingest_svc", "latency", _ms("0.25")),
+    ("stream_svc", "latency", _ms("0.00175", "s")),
+]
+_E2E_TIES = {"e2e": "ms", "e2e_bound_in_s": "s"}
+
+
+def _e2e_tie_verdict(rhms_doc, comparator, offset, bound_unit):
+    builtin = load_builtin_catalog()
+    catalog = builtin.merge(Catalog([
+        dataclasses.replace(builtin.lookup(term, concept), canonical_unit="ms")
+        for term, concept in [("end_to_end_response_time", "application"),
+                              ("data_freshness", "sensing"), ("latency", "ingestion"),
+                              ("latency", "stream_processing")]]))
+    entry = catalog.lookup("end_to_end_response_time", "application")
+    aggregate = Fraction(43, 12)
+    scale = {"ms": 1, "s": 1000}[bound_unit]
+    constraint = MetricConstraint(
+        entry.term, comparator, TypedValue.numeric((aggregate + offset) / scale, bound_unit))
+    doc = dataclasses.replace(rhms_doc, app_slos=(Slo("e2e", "app", (constraint,)),))
+    records = [TelemetryRecord(t, target, metric, value)
+               for t, (target, metric, value) in enumerate(_E2E_SAMPLES)]
+    events = end_to_end_response(doc, records, 60, catalog)
+    observed = TypedValue.numeric(aggregate, "ms")
+    expected = check_constraint_against_value(constraint, observed, entry)
+    assert (VIOLATED if events else SATISFIED) == expected
+    assert [e.observed for e in events] == ([observed] if events else [])
+    assert monitor_document(doc, records, 60, catalog).violations == events
+    return expected
+
+
 @pytest.mark.parametrize("comparator", ["<", "<=", ">", ">=", "=="])
-@pytest.mark.parametrize("case", sorted(_TIES))
+@pytest.mark.parametrize("case", sorted(_TIES) + sorted(_E2E_TIES))
 @pytest.mark.parametrize("offset", [Fraction(0), Fraction(-1, 10**6), Fraction(1, 10**6)],
                          ids=["equal", "bound_below", "bound_above"])
-def test_window_verdicts_at_and_beside_the_bound(case, comparator, offset):
+def test_window_verdicts_at_and_beside_the_bound(case, comparator, offset, rhms_doc):
     # the fold compares integers; its verdict must be the checker's on the
     # exact aggregate, including when the two are equal
+    if case in _E2E_TIES:
+        expected = _e2e_tie_verdict(rhms_doc, comparator, offset, _E2E_TIES[case])
+        if offset == 0:
+            assert expected == (SATISFIED if "=" in comparator else VIOLATED)
+        return
     samples, aggregate, bound_unit = _TIES[case]
     term = "tie_" + case.split("_")[0]
     catalog = _tie_catalog()
