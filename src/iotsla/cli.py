@@ -8,7 +8,7 @@ Commands::
     iotsla vocab export [-o PATH]
     iotsla match REQUEST.sla OFFER.offer.json... [--weights W.json] [--json]
     iotsla monitor AGREEMENT.sla TELEMETRY|- [--window N] [--json]
-    iotsla fmt FILE.sla [--check]
+    iotsla fmt FILE.sla|- [--check]
 
 All commands accept ``--catalog OVERLAY.json`` to merge extra vocabulary
 entries over the builtin catalog.
@@ -50,13 +50,19 @@ class _CliFailure(Exception):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The text of ``path``, or of stdin for "-", read by one rule: UTF-8,
+    with "\r\n" and "\r" read as "\n"."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        if path != "-":
+            return Path(path).read_text(encoding="utf-8")
+        # stdin may decode bytes that are not UTF-8 to lone surrogates, and
+        # leaves line breaks as they are
+        text = sys.stdin.read()
+        text.encode("utf-8")
+        return text.replace("\r\n", "\n").replace("\r", "\n")
     except OSError as exc:
         raise _CliFailure(2, f"cannot read {path}: {exc.strerror or exc}") from None
-    except UnicodeDecodeError:
+    except UnicodeError:
         raise _CliFailure(2, f"{path} is not valid UTF-8") from None
 
 
@@ -352,7 +358,9 @@ def _cmd_fmt(args) -> int:
             print(f"would reformat {args.path}")
             return 1
         return 0
-    if canonical != text:
+    if args.path == "-":
+        print(canonical, end="")
+    elif canonical != text:
         try:
             Path(args.path).write_text(canonical, encoding="utf-8")
         except OSError as exc:
@@ -425,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_monitor.set_defaults(func=_cmd_monitor)
 
     p_fmt = sub.add_parser("fmt", help="rewrite an agreement in canonical form")
-    p_fmt.add_argument("path")
+    p_fmt.add_argument("path", help="agreement file, or - to read stdin and write stdout")
     p_fmt.add_argument("--check", action="store_true",
                        help="exit 1 if the file is not canonical, change nothing")
     common(p_fmt)

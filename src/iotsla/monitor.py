@@ -27,10 +27,10 @@ Fraction.  A Fraction is built only for a reported value, equal to the
 one Fraction arithmetic gives, or to check a bound that is not in
 canonical units.
 
-Telemetry is read one line at a time.  The common numeric line is taken
-apart by one match of one compiled pattern; every other line (booleans,
-text, blanks, framing errors) takes the general per-line path, with the
-same records, skips and errors.
+Telemetry is read one line at a time, by one compiled pattern: every
+record, numeric, boolean or text, comes from one match of its line.  A
+line the pattern refuses is blank, has a framing error, or has an
+unreadable value.
 
 Aggregation per window follows the metric's catalog aggregator: ``max``
 for worst-case metrics like latency, ``mean`` for utilization-like ones,
@@ -187,34 +187,16 @@ class MonitorReport:
 
 # -- telemetry input ---------------------------------------------------------
 
-# The common line, ``ts<TAB>target<TAB>metric<TAB>numeral[ unit]``, with an
-# optional "\n".  The timestamp has at most 640 digits, the lowest int
-# string limit Python takes, and the unit holds no space, tab or line
-# break, so each group is what the general path below reads from the
-# line.  Any line the pattern refuses takes that path.
-_NUMERIC_LINE_RE = re.compile(
-    r"([0-9]{1,640})\t([^\t]+)\t([^\t]+)\t(%s)(?: ([^ \t\r\n]+))?\n?" % DECIMAL_RE.pattern)
+# A record line, ``ts<TAB>target<TAB>metric<TAB>value`` with its line break
+# gone.  The value is a numeral with an optional `` unit``, or one word:
+# ``true``, ``false`` or text.  No group holds a tab, and neither the unit
+# nor the word a space, so every line the pattern takes has the four
+# fields and the value of the grammar.  The negated classes match a line
+# break or "\r" left inside a line, which the line keeps.
+_RECORD_LINE_RE = re.compile(
+    r"(-?[0-9]+)\t([^\t]+)\t([^\t]+)\t(?:(%s)(?: ([^ \t]+))?|([^ \t]+))" % DECIMAL_RE.pattern)
 
 _BOOLEANS = {"true": TypedValue.boolean(True), "false": TypedValue.boolean(False)}
-
-
-def _parse_value_field(text: str) -> TypedValue | None:
-    """Interpret the value column; None when uninterpretable."""
-    boolean = _BOOLEANS.get(text)
-    if boolean is not None:
-        return boolean
-    numeral, space, unit = text.partition(" ")
-    if DECIMAL_RE.fullmatch(numeral):
-        if space and (not unit or " " in unit):
-            return None
-        try:
-            magnitude = exact_number(numeral)
-        except ValueError:  # more digits than exact_number takes
-            return None
-        return _trusted_numeric(magnitude, unit or None)
-    if not space and text:
-        return TypedValue.text(text)
-    return None
 
 
 def parse_telemetry(source: str | Iterable[str]) -> tuple[list[TelemetryRecord], int]:
@@ -228,47 +210,58 @@ def parse_telemetry(source: str | Iterable[str]) -> tuple[list[TelemetryRecord],
     if isinstance(source, str):
         lines: Iterable[str] = source.splitlines()
     else:
-        lines = source
+        lines = (line.rstrip("\n").rstrip("\r") for line in source)
     records: list[TelemetryRecord] = []
     skipped = 0
-    numeric_line = _NUMERIC_LINE_RE.fullmatch
-    for line_no, raw in enumerate(lines, start=1):
-        match = numeric_line(raw)
-        if match is not None:
-            ts_text, target_id, metric, numeral, unit = match.groups()
+    record_line = _RECORD_LINE_RE.fullmatch
+    for line_no, line in enumerate(lines, start=1):
+        match = record_line(line)
+        if match is None:
+            if line.strip():
+                _check_framing(line, line_no)
+                skipped += 1
+            continue
+        ts_text, target_id, metric, numeral, unit, word = match.groups()
+        try:
+            timestamp = int(ts_text)
+        except ValueError:  # more digits than int() takes
+            timestamp = -1
+        if timestamp < 0:
+            _check_framing(line, line_no)  # raises: the timestamp is bad or negative
+        if word is None:
             try:
-                magnitude = exact_number(numeral)
+                value = _trusted_numeric(exact_number(numeral), unit)
             except ValueError:  # more digits than exact_number takes
                 skipped += 1
                 continue
-            records.append(_trusted_record(int(ts_text), target_id, metric,
-                                           _trusted_numeric(magnitude, unit)))
-            continue
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise TelemetryFormatError(
-                line_no, f"expected 4 tab-separated fields, found {len(fields)}"
-            )
-        ts_text, target_id, metric, value_text = fields
-        try:
-            if not (ts_text.isascii() and ts_text.lstrip("-").isdigit()):
-                raise ValueError
-            timestamp = int(ts_text)
-        except ValueError:
-            raise TelemetryFormatError(line_no, f"bad timestamp {ts_text!r}") from None
-        if timestamp < 0:
-            raise TelemetryFormatError(line_no, "timestamp must be non-negative")
-        if not target_id or not metric:
-            raise TelemetryFormatError(line_no, "empty target or metric field")
-        value = _parse_value_field(value_text)
-        if value is None:
-            skipped += 1
-            continue
+        else:
+            value = _BOOLEANS[word] if word in _BOOLEANS else TypedValue.text(word)
         records.append(_trusted_record(timestamp, target_id, metric, value))
     return records, skipped
+
+
+def _check_framing(line: str, line_no: int) -> None:
+    """Raise the :class:`TelemetryFormatError` of a non-blank ``line``, if
+    it has one: a field count other than 4, then a timestamp that is not
+    ASCII digits with an optional "-", int() refuses or is negative, then
+    an empty target or metric.  A line without one has an unreadable value.
+    """
+    fields = line.split("\t")
+    if len(fields) != 4:
+        raise TelemetryFormatError(
+            line_no, f"expected 4 tab-separated fields, found {len(fields)}"
+        )
+    ts_text, target_id, metric, _ = fields
+    try:
+        if not (ts_text.isascii() and ts_text.lstrip("-").isdigit()):
+            raise ValueError
+        timestamp = int(ts_text)
+    except ValueError:
+        raise TelemetryFormatError(line_no, f"bad timestamp {ts_text!r}") from None
+    if timestamp < 0:
+        raise TelemetryFormatError(line_no, "timestamp must be non-negative")
+    if not target_id or not metric:
+        raise TelemetryFormatError(line_no, "empty target or metric field")
 
 
 def _trusted_record(timestamp: int, target_id: str, metric: str,
@@ -288,14 +281,9 @@ def _trusted_record(timestamp: int, target_id: str, metric: str,
 
 
 def _as_window(window: EvaluationWindow | int | None) -> EvaluationWindow:
-    if window is None:
-        return EvaluationWindow()
-    if isinstance(window, EvaluationWindow):
-        return window
-    if isinstance(window, int):  # EvaluationWindow refuses a bool or width <= 0
-        return EvaluationWindow(window)
-    raise ValueError(
-        f"window must be an EvaluationWindow, an int or None, not {type(window).__name__}")
+    # EvaluationWindow refuses a width that is not a positive int
+    return window if isinstance(window, EvaluationWindow) else EvaluationWindow(
+        60 if window is None else window)
 
 
 class _Index:
@@ -424,6 +412,23 @@ def _first_offender(constraint: MetricConstraint, entry: VocabularyEntry,
     return min(offending, key=lambda v: (firsts[v], str(v.value), v.tag), default=None)
 
 
+def _breach(constraint: MetricConstraint, entry: VocabularyEntry,
+            bound: tuple[int, int] | None, num: int, den: int) -> TypedValue | None:
+    """num/den, a window's figure in ``entry``'s canonical unit, as the
+    observed value when it breaks ``constraint``, else None.
+
+    With a ``bound`` from :func:`_canonical_bound`, num * bound_den against
+    bound_num * den compares them exactly in ints.  Without one the checker
+    decides, raising what it raises.
+    """
+    if bound is not None and _compare(constraint.comparator, num * bound[1], bound[0] * den):
+        return None
+    observed = TypedValue.numeric(Fraction(num, den), entry.canonical_unit)
+    if bound is None and check_constraint_against_value(constraint, observed, entry) == SATISFIED:
+        return None
+    return observed
+
+
 def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationWindow):
     """Read the records once, then check each watcher once per window.
 
@@ -473,9 +478,7 @@ def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationW
                 if peak is None or num * peak[1] > peak[0] * den:
                     peaks[position] = sample
 
-    # A numeric window's aggregate is num/den with den > 0, and each bound
-    # is bound_num/bound_den, so num * bound_den against bound_num * den
-    # compares them exactly in ints; a Fraction is built only to report.
+    # A numeric window's aggregate is num/den with den > 0, checked by _breach.
     events = []
     for (home, term, slot), state in states.items():
         watchers = index.watchers[home, term]
@@ -487,21 +490,15 @@ def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationW
             elif entry.aggregator not in ("max", "min", "sum"):  # mean, ratio, none
                 den *= samples
         for position, slo, constraint, _, bound in watchers:
-            culprit = None
-            if entry.value_type != "numeric":
-                culprit = _first_offender(constraint, entry, state)
-            elif bound is None:  # raises what checking this bound raises
-                observed = TypedValue.numeric(Fraction(num, den), entry.canonical_unit)
-                if check_constraint_against_value(constraint, observed, entry) != SATISFIED:
-                    culprit = observed
-            elif not _compare(constraint.comparator, num * bound[1], bound[0] * den):
-                culprit = TypedValue.numeric(Fraction(num, den), entry.canonical_unit)
+            culprit = (_breach(constraint, entry, bound, num, den)
+                       if entry.value_type == "numeric"
+                       else _first_offender(constraint, entry, state))
             if culprit is not None:
                 event = ViolationEvent(*window.bounds(slot), slo.id, constraint, culprit)
                 events.append((slot, position, event))
 
     # End to end, the window's figure is the sum of the activities' maxima,
-    # num/den again, checked against each bound the same way.
+    # num/den again, checked the same way.
     gaps = []
     e2e_entry = index.catalog.lookup(_E2E_METRIC, APPLICATION_CONCEPT)
     e2e = [(position, slo, constraint, _canonical_bound(constraint, e2e_entry))
@@ -515,19 +512,11 @@ def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationW
         for peak in maxima[slot]:
             if peak is not None:
                 num, den = _plus(num, den, *peak)
-        observed = None  # built once, for the first check that needs it
         for position, slo, constraint, bound in e2e:
-            if bound is not None and _compare(constraint.comparator, num * bound[1],
-                                              bound[0] * den):
-                continue
-            if observed is None:
-                observed = TypedValue.numeric(Fraction(num, den), e2e_entry.canonical_unit)
-            # with no bound, the checker decides, raising what it raises
-            if bound is None and check_constraint_against_value(
-                    constraint, observed, e2e_entry) == SATISFIED:
-                continue
-            events.append((slot, position, ViolationEvent(start, end, slo.id, constraint,
-                                                          observed)))
+            observed = _breach(constraint, e2e_entry, bound, num, den)
+            if observed is not None:
+                events.append((slot, position, ViolationEvent(start, end, slo.id, constraint,
+                                                              observed)))
     events.sort(key=lambda item: item[:2])
     return [event for _, _, event in events], gaps, seen, skipped
 

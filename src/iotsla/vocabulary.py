@@ -246,23 +246,19 @@ class Catalog:
         return cls(entries)
 
 
+def _entry(concept: str, row: tuple[str, ...], aliases: tuple[str, ...] = ()) -> VocabularyEntry:
+    """The entry of a catalog row ``(term, value type, canonical unit,
+    direction, aggregator, kind, description)`` for ``concept``."""
+    term, value_type, unit, direction, aggregator, kind, description = row
+    return VocabularyEntry(term=term, concept=concept, description=description,
+                           value_type=value_type, canonical_unit=unit, direction=direction,
+                           aggregator=aggregator, kind=kind, aliases=aliases)
+
+
 def _build_entries() -> tuple[VocabularyEntry, ...]:
-    entries = []
-    for concept in TABLE_CONCEPTS:
-        for term, vtype, unit, direction, agg, kind, desc in _catalog_data.ROWS_BY_CONCEPT[concept]:
-            aliases = _catalog_data.ALIASES.get((concept, term), ())
-            entries.append(VocabularyEntry(
-                term=term,
-                concept=concept,
-                description=desc,
-                value_type=vtype,
-                canonical_unit=unit,
-                direction=direction,
-                aggregator=agg,
-                kind=kind,
-                aliases=aliases,
-            ))
-    return tuple(entries)
+    return tuple(_entry(concept, row, _catalog_data.ALIASES.get((concept, row[0]), ()))
+                 for concept in TABLE_CONCEPTS
+                 for row in _catalog_data.ROWS_BY_CONCEPT[concept])
 
 
 @lru_cache(maxsize=1)
@@ -280,19 +276,7 @@ def application_slo_terms() -> tuple[VocabularyEntry, ...]:
     them beneath its own entries: builtin tables, then these terms, then any
     overlay.
     """
-    return tuple(
-        VocabularyEntry(
-            term=term,
-            concept=APPLICATION_CONCEPT,
-            description=desc,
-            value_type=vtype,
-            canonical_unit=unit,
-            direction=direction,
-            aggregator=agg,
-            kind=kind,
-        )
-        for term, vtype, unit, direction, agg, kind, desc in _catalog_data.APPLICATION_ROWS
-    )
+    return tuple(_entry(APPLICATION_CONCEPT, row) for row in _catalog_data.APPLICATION_ROWS)
 
 
 @lru_cache(maxsize=1)

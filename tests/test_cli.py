@@ -536,6 +536,33 @@ def test_fmt_parse_error(capsys, tmp_path):
     assert code == 2 and err.startswith(f"{bad}:1:")
 
 
+def test_fmt_stdin_writes_stdout(capsys, monkeypatch, tmp_path, rhms_text):
+    monkeypatch.chdir(tmp_path)
+    for text in (fixture_text("messy.sla"), rhms_text):
+        monkeypatch.setattr(sys, "stdin", _Stdin(text))
+        assert run(capsys, "fmt", "-") == (0, rhms_text, "")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, content, code", [
+    (["monitor", fx("rhms.sla"), "--json"],
+     b"5\thb_sensing\tdata_freshness\t1 time_unit\n6\thb_sensing\tdata_freshness\t\xff\n", 2),
+    (["fmt", "--check"], (FIXTURES / "rhms.sla").read_bytes().replace(b"\n", b"\r\n"), 0),
+    (["fmt", "--check"], (FIXTURES / "rhms.sla").read_bytes().replace(b"\n", b"\r"), 0),
+], ids=["monitor-not-utf8", "fmt-crlf", "fmt-cr"])
+def test_stdin_reads_as_a_file_does(capsys, monkeypatch, tmp_path, argv, content, code):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    by_path = run(capsys, *argv, str(path))
+    assert by_path[0] == code
+    # what a real stdin gives: no newline translation, and bytes that are not
+    # UTF-8 decoded to lone surrogates
+    monkeypatch.setattr(sys, "stdin", _Stdin(content.decode("utf-8", "surrogateescape")))
+    by_stdin = run(capsys, *argv, "-")
+    assert by_stdin == tuple(part if isinstance(part, int) else part.replace(str(path), "-")
+                             for part in by_path)
+
+
 # --- usage ------------------------------------------------------------------------
 
 def test_usage_errors(capsys):
