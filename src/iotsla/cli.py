@@ -53,13 +53,8 @@ def _read_text(path: str) -> str:
     """The text of ``path``, or of stdin for "-", read by one rule: UTF-8,
     with "\r\n" and "\r" read as "\n"."""
     try:
-        if path != "-":
-            return Path(path).read_text(encoding="utf-8")
-        # stdin may decode bytes that are not UTF-8 to lone surrogates, and
-        # leaves line breaks as they are
-        text = sys.stdin.read()
-        text.encode("utf-8")
-        return text.replace("\r\n", "\n").replace("\r", "\n")
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except OSError as exc:
         raise _CliFailure(2, f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeError:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Union
@@ -105,8 +105,7 @@ KNOWN_UNITS = frozenset(_UNIT_TO_FAMILY)
 Magnitude = Union[Fraction, int]
 
 
-@dataclass(frozen=True)
-class TypedValue:
+class TypedValue(namedtuple("TypedValue", "tag value unit")):
     """A scalar with a value-type tag and, for numerics, an optional unit.
 
     Exactly one payload style is legal per tag:
@@ -115,27 +114,34 @@ class TypedValue:
     * ``boolean``    -- ``value`` is a bool, no unit
     * ``enumerated`` -- ``value`` is a lowercase token, no unit
     * ``text``       -- ``value`` is any string, no unit
+
+    A value is the tuple ``(tag, value, unit)``: it equals, and hashes as,
+    that plain tuple.  Every way to build one, ``_replace``, ``_make``,
+    pickle and copy included, goes through the checks.
     """
 
-    tag: str
-    value: Fraction | bool | str
-    unit: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tag not in VALUE_TAGS:
-            raise ValueError(f"unknown value tag: {self.tag!r}")
-        if self.tag == "numeric":
-            if not isinstance(self.value, Fraction) or isinstance(self.value, bool):
+    def __new__(cls, tag: str, value: Fraction | bool | str, unit: str | None = None):
+        if tag not in VALUE_TAGS:
+            raise ValueError(f"unknown value tag: {tag!r}")
+        if tag == "numeric":
+            if not isinstance(value, Fraction) or isinstance(value, bool):
                 raise ValueError("numeric values must be Fraction")
             # Unit names are not checked here: source text may carry any
             # identifier as a unit, and the validator reports bad ones.
         else:
-            if self.unit is not None:
-                raise ValueError(f"{self.tag} values cannot carry a unit")
-            if self.tag == "boolean" and not isinstance(self.value, bool):
+            if unit is not None:
+                raise ValueError(f"{tag} values cannot carry a unit")
+            if tag == "boolean" and not isinstance(value, bool):
                 raise ValueError("boolean values must be bool")
-            if self.tag in ("enumerated", "text") and not isinstance(self.value, str):
-                raise ValueError(f"{self.tag} values must be str")
+            if tag in ("enumerated", "text") and not isinstance(value, str):
+                raise ValueError(f"{tag} values must be str")
+        return tuple.__new__(cls, (tag, value, unit))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "TypedValue":
+        return cls(*fields)
 
     @classmethod
     def numeric(cls, value: Magnitude | str, unit: str | None = None) -> "TypedValue":
@@ -162,18 +168,7 @@ class TypedValue:
 
 
 def _trusted_numeric(magnitude: Fraction, unit: str | None) -> TypedValue:
-    """``TypedValue("numeric", magnitude, unit)`` built without
-    ``__post_init__``, for a Fraction a grammar has already read.
-
-    It is equal, and hash-equal, to the value the checked constructor
-    builds, and as compact: the fields are set one by one, so no instance
-    ``__dict__`` is made.
-    """
-    value = object.__new__(TypedValue)
-    object.__setattr__(value, "tag", "numeric")
-    object.__setattr__(value, "value", magnitude)
-    object.__setattr__(value, "unit", unit)
-    return value
+    return TypedValue("numeric", magnitude, unit)
 
 
 def unit_family(unit: str) -> str:

@@ -45,6 +45,7 @@ textual ones); other samples are ignored.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
@@ -52,7 +53,7 @@ from math import lcm
 from typing import Callable, Iterable
 
 from .constraints import (
-    COMPARABLE_TAGS, DECIMAL_RE, SATISFIED, TypedValue, _compare, _trusted_numeric,
+    COMPARABLE_TAGS, DECIMAL_RE, SATISFIED, TypedValue, _compare,
     check_constraint_against_value, exact_number, to_canonical, unit_factor,
 )
 from .errors import (
@@ -93,18 +94,19 @@ LATENCY_FAMILY = frozenset(
 _E2E_METRIC = "end_to_end_response_time"
 
 
-@dataclass(frozen=True)
-class TelemetryRecord:
-    """One measured sample."""
+class TelemetryRecord(namedtuple("TelemetryRecord", "timestamp target_id metric value")):
+    """One measured sample, ``(timestamp, target_id, metric, value)``."""
 
-    timestamp: int
-    target_id: str
-    metric: str
-    value: TypedValue
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.timestamp < 0:
+    def __new__(cls, timestamp: int, target_id: str, metric: str, value: TypedValue):
+        if timestamp < 0:
             raise ValueError("timestamp must be non-negative")
+        return tuple.__new__(cls, (timestamp, target_id, metric, value))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "TelemetryRecord":
+        return cls(*fields)
 
 
 @dataclass(frozen=True)
@@ -126,16 +128,12 @@ class EvaluationWindow:
         return (index * self.width, (index + 1) * self.width)
 
 
-@dataclass(frozen=True)
-class ViolationEvent:
+class ViolationEvent(namedtuple(
+        "ViolationEvent", "window_start window_end slo_id constraint observed verdict",
+        defaults=("violated",))):
     """An SLO constraint breached within one window."""
 
-    window_start: int
-    window_end: int
-    slo_id: str
-    constraint: MetricConstraint
-    observed: TypedValue
-    verdict: str = "violated"
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         from .interchange import _constraint_dict, _value_fields
@@ -152,23 +150,16 @@ class ViolationEvent:
         }
 
 
-@dataclass(frozen=True)
-class WindowAggregate:
+class WindowAggregate(namedtuple("WindowAggregate", "window_start window_end value")):
     """A folded value for one window (used by availability_ratio)."""
 
-    window_start: int
-    window_end: int
-    value: TypedValue
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CoverageGap:
-    """Telemetry expected but absent."""
+class CoverageGap(namedtuple("CoverageGap", "window_start window_end activity_id note")):
+    """Telemetry expected but absent; the window and activity may be None."""
 
-    window_start: int | None
-    window_end: int | None
-    activity_id: str | None
-    note: str
+    __slots__ = ()
 
 
 @dataclass
@@ -230,13 +221,13 @@ def parse_telemetry(source: str | Iterable[str]) -> tuple[list[TelemetryRecord],
             _check_framing(line, line_no)  # raises: the timestamp is bad or negative
         if word is None:
             try:
-                value = _trusted_numeric(exact_number(numeral), unit)
+                value = TypedValue("numeric", exact_number(numeral), unit)
             except ValueError:  # more digits than exact_number takes
                 skipped += 1
                 continue
         else:
             value = _BOOLEANS[word] if word in _BOOLEANS else TypedValue.text(word)
-        records.append(_trusted_record(timestamp, target_id, metric, value))
+        records.append(TelemetryRecord(timestamp, target_id, metric, value))
     return records, skipped
 
 
@@ -262,19 +253,6 @@ def _check_framing(line: str, line_no: int) -> None:
         raise TelemetryFormatError(line_no, "timestamp must be non-negative")
     if not target_id or not metric:
         raise TelemetryFormatError(line_no, "empty target or metric field")
-
-
-def _trusted_record(timestamp: int, target_id: str, metric: str,
-                    value: TypedValue) -> TelemetryRecord:
-    """A :class:`TelemetryRecord` of fields :func:`parse_telemetry` has
-    checked, built without ``__post_init__`` and with no instance
-    ``__dict__``; equal, and hash-equal, to the checked one."""
-    record = object.__new__(TelemetryRecord)
-    object.__setattr__(record, "timestamp", timestamp)
-    object.__setattr__(record, "target_id", target_id)
-    object.__setattr__(record, "metric", metric)
-    object.__setattr__(record, "value", value)
-    return record
 
 
 # -- the fold -------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The telemetry reader as it was before the one-pattern fast path: the oracle.
 
-``parse_telemetry``, ``_parse_value_field``, ``_trusted_record`` and
-``exact_number`` below are the code that ``iotsla.monitor`` and
-``iotsla.constraints`` replaced, kept unchanged but for absolute imports.
+``parse_telemetry``, ``_parse_value_field`` and ``exact_number`` below are
+the code that ``iotsla.monitor`` and ``iotsla.constraints`` replaced, kept
+unchanged but for absolute imports; ``_trusted_record`` builds each record
+as ``TelemetryRecord(timestamp, target_id, metric, value)``.
 Every line goes through the same split, timestamp check and value
 partition, and every numeral through the one general conversion (no plain
 branch).  ``test_telemetry_oracle.py`` checks that the reader gives the
@@ -122,12 +123,4 @@ def parse_telemetry(source: str | Iterable[str]) -> tuple[list[TelemetryRecord],
 
 def _trusted_record(timestamp: int, target_id: str, metric: str,
                     value: TypedValue) -> TelemetryRecord:
-    """A :class:`TelemetryRecord` of fields :func:`parse_telemetry` has
-    checked, built without ``__post_init__`` and with no instance
-    ``__dict__``; equal, and hash-equal, to the checked one."""
-    record = object.__new__(TelemetryRecord)
-    object.__setattr__(record, "timestamp", timestamp)
-    object.__setattr__(record, "target_id", target_id)
-    object.__setattr__(record, "metric", metric)
-    object.__setattr__(record, "value", value)
-    return record
+    return TelemetryRecord(timestamp, target_id, metric, value)

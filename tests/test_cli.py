@@ -7,9 +7,11 @@ smoke test at the end proves the installed entry points work too.
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -411,6 +413,7 @@ def test_monitor_stdin(capsys, monkeypatch):
 class _Stdin:
     def __init__(self, text):
         self._text = text
+        self.buffer = mock.Mock(read=lambda: text.encode("utf-8", "surrogateescape"))
 
     def read(self):
         return self._text
@@ -561,6 +564,23 @@ def test_stdin_reads_as_a_file_does(capsys, monkeypatch, tmp_path, argv, content
     by_stdin = run(capsys, *argv, "-")
     assert by_stdin == tuple(part if isinstance(part, int) else part.replace(str(path), "-")
                              for part in by_path)
+
+
+def test_stdin_is_read_as_utf8_whatever_its_encoding(tmp_path):
+    # a stdin decoded by its own encoding would read the byte 0xff as a letter
+    path = tmp_path / "t.telemetry"
+    path.write_bytes(b"5\thb_sensing\tdata_freshness\t1 time_unit\n"
+                     b"6\thb_sensing\tdata_freshness\t\xff\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONIOENCODING="latin-1", PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    argv = [sys.executable, "-m", "iotsla", "monitor", fx("rhms.sla"), "--json"]
+    by_path = subprocess.run([*argv, str(path)], capture_output=True, env=env)
+    with path.open("rb") as stdin:
+        by_stdin = subprocess.run([*argv, "-"], stdin=stdin, capture_output=True, env=env)
+    assert by_path.returncode == by_stdin.returncode == 2
+    assert by_stdin.stdout == by_path.stdout == b""
+    assert by_stdin.stderr == by_path.stderr.replace(str(path).encode(), b"-")
 
 
 # --- usage ------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Windowed SLO evaluation over telemetry."""
 
+import copy
 import dataclasses
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -25,8 +27,11 @@ from iotsla import (
 )
 from iotsla.constraints import decimal_repr
 from iotsla.monitor import (
+    CoverageGap,
     EvaluationWindow,
     TelemetryRecord,
+    ViolationEvent,
+    WindowAggregate,
     availability_ratio,
     data_completeness,
     end_to_end_response,
@@ -610,3 +615,68 @@ def test_window_verdicts_at_and_beside_the_bound(case, comparator, offset, rhms_
     assert [e.observed for e in events] == ([observed] if events else [])
     if offset == 0:
         assert expected == (SATISFIED if "=" in comparator else VIOLATED)
+
+
+_PERCENT = "TypedValue(tag='numeric', value=Fraction(1999, 20), unit='percent')"
+_UPTIME = MetricConstraint("availability", ">=", TypedValue.numeric(99, "percent"))
+
+
+def _value_and_records():
+    """One of each value and record type, with its fields and its repr."""
+    value = TypedValue.numeric(Fraction(1999, 20), "percent")
+    return [
+        (value, ("numeric", Fraction(1999, 20), "percent"), _PERCENT),
+        (TypedValue.boolean(True), ("boolean", True, None),
+         "TypedValue(tag='boolean', value=True, unit=None)"),
+        (TelemetryRecord(5, "net_svc", "availability", value),
+         (5, "net_svc", "availability", value),
+         "TelemetryRecord(timestamp=5, target_id='net_svc', metric='availability', "
+         f"value={_PERCENT})"),
+        (ViolationEvent(0, 60, "uptime", _UPTIME, value),
+         (0, 60, "uptime", _UPTIME, value, "violated"),
+         "ViolationEvent(window_start=0, window_end=60, slo_id='uptime', "
+         "constraint=MetricConstraint(metric='availability', comparator='>=', "
+         "value=TypedValue(tag='numeric', value=Fraction(99, 1), unit='percent')), "
+         f"observed={_PERCENT}, verdict='violated')"),
+        (WindowAggregate(0, 60, value), (0, 60, value),
+         f"WindowAggregate(window_start=0, window_end=60, value={_PERCENT})"),
+        (CoverageGap(None, None, None, "no telemetry records"),
+         (None, None, None, "no telemetry records"),
+         "CoverageGap(window_start=None, window_end=None, activity_id=None, "
+         "note='no telemetry records')"),
+    ]
+
+
+@pytest.mark.parametrize("item, fields, text", _value_and_records(),
+                         ids=["numeric", "boolean", "record", "violation", "aggregate", "gap"])
+def test_values_and_records_are_the_tuples_of_their_fields(item, fields, text):
+    # equal to, and hashed as, the plain tuple: each type's frozen dataclass
+    # hashed that tuple too
+    assert item == fields and fields == item and hash(item) == hash(fields)
+    assert {item: 1}[fields] == 1
+    assert tuple(item) == fields and len(item) == len(fields)
+    assert repr(item) == text
+    for twin in (pickle.loads(pickle.dumps(item)), copy.deepcopy(item)):
+        assert twin == item and type(twin) is type(item)
+    assert not hasattr(item, "__dict__")
+
+
+def test_every_way_to_build_a_value_or_record_is_checked():
+    value = TypedValue.numeric(1)
+    record = TelemetryRecord(1, "a", "b", value)
+    with pytest.raises(ValueError, match="unknown value tag"):
+        value._replace(tag="bogus")
+    with pytest.raises(ValueError, match="non-negative"):
+        record._replace(timestamp=-5)
+    with pytest.raises(ValueError, match="must be Fraction"):
+        TypedValue._make(["numeric", 1.5, None])
+    assert value._replace(unit="ms") == TypedValue.numeric(1, "ms")
+    assert record._replace(timestamp=7) == TelemetryRecord(7, "a", "b", value)
+    # pickle and copy rebuild through the constructor, so they refuse what
+    # it refuses
+    for bogus in (tuple.__new__(TypedValue, ("bogus", Fraction(1), None)),
+                  tuple.__new__(TelemetryRecord, (-5, "a", "b", value))):
+        with pytest.raises(ValueError):
+            pickle.loads(pickle.dumps(bogus))
+        with pytest.raises(ValueError):
+            copy.deepcopy(bogus)
