@@ -41,12 +41,15 @@ __all__ = ["main", "entrypoint"]
 
 
 class _CliFailure(Exception):
-    """Abort with a message on stderr and a specific exit code."""
+    """Abort with a message and a specific exit code.  A failure over the
+    input's ``diagnostics``, as ``Diagnostic.to_dict`` dicts, prints them
+    as JSON under ``--json``."""
 
-    def __init__(self, code: int, message: str):
+    def __init__(self, code: int, message: str, diagnostics: list[dict] | None = None):
         super().__init__(message)
         self.code = code
         self.message = message
+        self.diagnostics = diagnostics
 
 
 def _read_text(path: str) -> str:
@@ -81,9 +84,9 @@ def _parse_sla(path: str) -> SlaDocument:
     try:
         return parse(text)
     except ParseError as exc:
-        raise _CliFailure(
-            1, f"{path}:{exc.line}:{exc.col}: error: {exc.message}"
-        ) from None
+        raise _CliFailure(1, f"{path}:{exc.line}:{exc.col}: error: {exc.message}", [{
+            "code": "parse", "severity": "error", "message": exc.message,
+            "subject": path, "line": exc.line, "col": exc.col}]) from None
 
 
 def _validate_or_fail(path: str, catalog: Catalog) -> SlaDocument:
@@ -95,7 +98,7 @@ def _validate_or_fail(path: str, catalog: Catalog) -> SlaDocument:
     errors = [d for d in diagnostics if d.severity == ERROR]
     if errors:
         lines = "\n".join(format_diagnostic(d, path) for d in diagnostics)
-        raise _CliFailure(1, lines)
+        raise _CliFailure(1, lines, [d.to_dict() for d in diagnostics])
     return doc
 
 
@@ -380,8 +383,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+    def common(p: argparse.ArgumentParser, json: bool = True):
+        if json:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--catalog", metavar="OVERLAY",
                        help="merge a vocabulary overlay (JSON) over the builtin catalog")
 
@@ -408,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_show.set_defaults(func=_cmd_vocab)
     p_export = vocab_sub.add_parser("export", help="write the catalog as JSON")
     p_export.add_argument("-o", "--output", help="output path (default stdout)")
-    common(p_export)
+    common(p_export, json=False)
     p_export.set_defaults(func=_cmd_vocab)
 
     p_match = sub.add_parser("match", help="rank provider offers against an agreement")
@@ -431,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fmt.add_argument("path", help="agreement file, or - to read stdin and write stdout")
     p_fmt.add_argument("--check", action="store_true",
                        help="exit 1 if the file is not canonical, change nothing")
-    common(p_fmt)
+    common(p_fmt, json=False)
     p_fmt.set_defaults(func=_cmd_fmt)
 
     return parser
@@ -447,8 +451,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _CliFailure as failure:
+        message = failure.message
+        if failure.diagnostics is not None and args.json:
+            from .interchange import emit_json
+
+            # validate --json prints its list of diagnostics on every path
+            shown = failure.diagnostics
+            message = emit_json(shown if args.command == "validate" else {"diagnostics": shown})
         stream = sys.stdout if failure.code == 1 else sys.stderr
-        print(failure.message, file=stream)
+        print(message, file=stream)
         return failure.code
     except BrokenPipeError:
         return 0

@@ -133,6 +133,15 @@ def _config_dict(param: ConfigParam) -> dict:
     return {"term": param.term, **_value_fields(param.value)}
 
 
+def _owner_dict(owner: ServiceSpec | InfraResourceSpec) -> dict:
+    data: dict[str, Any] = {"id": owner.id, "kind": owner.kind}
+    if isinstance(owner, ServiceSpec):
+        data["deployed_on"] = owner.deployed_on
+    data["slos"] = [_slo_dict(slo) for slo in owner.slos]
+    data["config"] = [_config_dict(c) for c in owner.config]
+    return data
+
+
 def to_interchange(doc: SlaDocument) -> str:
     """Render a document as interchange JSON (UTF-8 text)."""
     data: dict[str, Any] = {
@@ -149,25 +158,8 @@ def to_interchange(doc: SlaDocument) -> str:
             {"id": a.id, "kind": a.kind, "required_services": list(a.required_services)}
             for a in doc.activities
         ],
-        "services": [
-            {
-                "id": s.id,
-                "kind": s.kind,
-                "deployed_on": s.deployed_on,
-                "slos": [_slo_dict(slo) for slo in s.slos],
-                "config": [_config_dict(c) for c in s.config],
-            }
-            for s in doc.services
-        ],
-        "resources": [
-            {
-                "id": r.id,
-                "kind": r.kind,
-                "slos": [_slo_dict(slo) for slo in r.slos],
-                "config": [_config_dict(c) for c in r.config],
-            }
-            for r in doc.resources
-        ],
+        "services": [_owner_dict(s) for s in doc.services],
+        "resources": [_owner_dict(r) for r in doc.resources],
     }
     if doc.unattached_slos:
         data["unattached_slos"] = [
@@ -290,11 +282,7 @@ def _read_constraint(value: Any, pointer: str) -> MetricConstraint:
     data = _want_object(value, pointer)
     _check_keys(data, {"metric", "comparator", "value", "unit"}, pointer)
     metric = _want_ident(data, "metric", pointer)
-    comparator = _want_str(data, "comparator", pointer)
-    if comparator not in COMPARATORS:
-        raise SchemaViolationError(
-            f"{pointer}/comparator", f"must be one of {', '.join(COMPARATORS)}"
-        )
+    comparator = _read_choice(data, "comparator", pointer, COMPARATORS)
     return MetricConstraint(metric, comparator, _read_typed_value(data, pointer))
 
 
@@ -322,11 +310,36 @@ def _read_config(value: Any, pointer: str) -> ConfigParam:
     return ConfigParam(term, _read_typed_value(data, pointer))
 
 
-def _read_kind(data: dict, pointer: str, kinds: tuple[str, ...]) -> str:
-    kind = _want_str(data, "kind", pointer)
-    if kind not in kinds:
-        raise SchemaViolationError(f"{pointer}/kind", f"must be one of {', '.join(kinds)}")
-    return kind
+def _read_choice(data: dict, key: str, pointer: str, choices: tuple[str, ...]) -> str:
+    value = _want_str(data, key, pointer)
+    if value not in choices:
+        raise SchemaViolationError(f"{pointer}/{key}", f"must be one of {', '.join(choices)}")
+    return value
+
+
+def _read_owners(data: dict, key: str, cls: type, kinds: tuple[str, ...],
+                 slos: list[Slo]) -> list:
+    """The services or resources under ``key``, their SLOs appended to
+    ``slos``; a service alone is ``deployed_on`` a resource."""
+    placed = cls is ServiceSpec
+    allowed = {"id", "kind", "slos", "config"} | ({"deployed_on"} if placed else set())
+    owners = []
+    for i, item in enumerate(_want_list(data, key, "")):
+        pointer = f"/{key}/{i}"
+        obj = _want_object(item, pointer)
+        _check_keys(obj, allowed, pointer)
+        owner_id = _want_ident(obj, "id", pointer)
+        slos.extend(
+            _read_slo(slo_item, f"{pointer}/slos/{j}", owner_id)
+            for j, slo_item in enumerate(_want_list(obj, "slos", pointer, default=[]))
+        )
+        kind = _read_choice(obj, "kind", pointer, kinds)
+        deployed_on = (_want_ident(obj, "deployed_on", pointer),) if placed else ()
+        owners.append(cls(owner_id, kind, *deployed_on, config=tuple(
+            _read_config(cfg, f"{pointer}/config/{j}")
+            for j, cfg in enumerate(_want_list(obj, "config", pointer, default=[]))
+        )))
+    return owners
 
 
 def from_interchange(text: str | bytes) -> SlaDocument:
@@ -354,11 +367,7 @@ def from_interchange(text: str | bytes) -> SlaDocument:
         pointer = f"/parties/{i}"
         obj = _want_object(item, pointer)
         _check_keys(obj, {"id", "name", "role"}, pointer)
-        role = _want_str(obj, "role", pointer)
-        if role not in PARTY_ROLES:
-            raise SchemaViolationError(
-                f"{pointer}/role", f"must be one of {', '.join(PARTY_ROLES)}"
-            )
+        role = _read_choice(obj, "role", pointer, PARTY_ROLES)
         parties.append(Party(_want_ident(obj, "id", pointer),
                              _want_str(obj, "name", pointer), role))
 
@@ -382,49 +391,12 @@ def from_interchange(text: str | bytes) -> SlaDocument:
                 )
         activities.append(WorkflowActivity(
             _want_ident(obj, "id", pointer),
-            _read_kind(obj, pointer, ACTIVITY_KINDS),
+            _read_choice(obj, "kind", pointer, ACTIVITY_KINDS),
             tuple(refs),
         ))
 
-    services = []
-    for i, item in enumerate(_want_list(data, "services", "")):
-        pointer = f"/services/{i}"
-        obj = _want_object(item, pointer)
-        _check_keys(obj, {"id", "kind", "deployed_on", "slos", "config"}, pointer)
-        svc_id = _want_ident(obj, "id", pointer)
-        slos.extend(
-            _read_slo(slo_item, f"{pointer}/slos/{j}", svc_id)
-            for j, slo_item in enumerate(_want_list(obj, "slos", pointer, default=[]))
-        )
-        services.append(ServiceSpec(
-            svc_id,
-            _read_kind(obj, pointer, SERVICE_KINDS),
-            _want_ident(obj, "deployed_on", pointer),
-            config=tuple(
-                _read_config(cfg, f"{pointer}/config/{j}")
-                for j, cfg in enumerate(_want_list(obj, "config", pointer, default=[]))
-            ),
-        ))
-
-    resources = []
-    for i, item in enumerate(_want_list(data, "resources", "")):
-        pointer = f"/resources/{i}"
-        obj = _want_object(item, pointer)
-        _check_keys(obj, {"id", "kind", "slos", "config"}, pointer)
-        res_id = _want_ident(obj, "id", pointer)
-        slos.extend(
-            _read_slo(slo_item, f"{pointer}/slos/{j}", res_id)
-            for j, slo_item in enumerate(_want_list(obj, "slos", pointer, default=[]))
-        )
-        resources.append(InfraResourceSpec(
-            res_id,
-            _read_kind(obj, pointer, RESOURCE_KINDS),
-            config=tuple(
-                _read_config(cfg, f"{pointer}/config/{j}")
-                for j, cfg in enumerate(_want_list(obj, "config", pointer, default=[]))
-            ),
-        ))
-
+    services = _read_owners(data, "services", ServiceSpec, SERVICE_KINDS, slos)
+    resources = _read_owners(data, "resources", InfraResourceSpec, RESOURCE_KINDS, slos)
     slos.extend(
         _read_slo(item, f"/unattached_slos/{i}", "", with_target=True)
         for i, item in enumerate(_want_list(data, "unattached_slos", "", default=[]))

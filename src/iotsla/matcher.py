@@ -25,6 +25,7 @@ from .constraints import (
     UNSPECIFIED,
     VIOLATED,
     TypedValue,
+    _compare,
     check_constraint_against_value,
     decimal_str_or_fraction,
     to_canonical,
@@ -98,18 +99,13 @@ def _delivered_interval(
 def _interval_satisfies(
     comparator: str, lo: Fraction, hi: Fraction | None, threshold: Fraction
 ) -> bool:
-    """Does every value in [lo, hi] satisfy ``value <comparator> threshold``?"""
-    if comparator == "<":
-        return hi is not None and hi < threshold
-    if comparator == "<=":
-        return hi is not None and hi <= threshold
-    if comparator == ">":
-        return lo > threshold
-    if comparator == ">=":
-        return lo >= threshold
-    if comparator == "==":
-        return hi is not None and lo == hi == threshold
-    raise ValueError(f"unknown comparator: {comparator!r}")
+    """Does every value in [lo, hi] satisfy ``value <comparator> threshold``?
+    The deciding edge does: ``lo`` for ``>`` and ``>=``, else ``hi``, which
+    must be bounded, and for ``==`` must equal ``lo``."""
+    if comparator in (">", ">="):
+        return _compare(comparator, lo, threshold)
+    return hi is not None and (comparator != "==" or lo == hi) and _compare(
+        comparator, hi, threshold)
 
 
 def satisfies_capability(

@@ -13,7 +13,7 @@ ambiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 from typing import Iterator, Union
 
@@ -263,33 +263,21 @@ def build_document(
     app_slos: list[Slo] = []
     per_target: dict[str, list[Slo]] = {}
     unattached: list[Slo] = []
-    service_ids = {s.id for s in services}
-    resource_ids = {r.id for r in resources}
+    owner_ids = {owner.id for owner in (*services, *resources)}
     for slo in slos:
         if slo.target in (APP_TARGET, doc_id):
             if slo.target == doc_id:
                 slo = Slo(slo.id, APP_TARGET, slo.constraints, slo.span)
             app_slos.append(slo)
-        elif slo.target in service_ids or slo.target in resource_ids:
+        elif slo.target in owner_ids:
             per_target.setdefault(slo.target, []).append(slo)
         else:
             unattached.append(slo)
 
-    services = tuple(
-        ServiceSpec(
-            s.id, s.kind, s.deployed_on,
-            slos=s.slos + tuple(per_target.get(s.id, ())),
-            config=s.config, span=s.span,
-        )
-        for s in services
-    )
-    resources = tuple(
-        InfraResourceSpec(
-            r.id, r.kind,
-            slos=r.slos + tuple(per_target.get(r.id, ())),
-            config=r.config, span=r.span,
-        )
-        for r in resources
+    services, resources = (
+        tuple(replace(owner, slos=owner.slos + tuple(per_target[owner.id]))
+              if owner.id in per_target else owner for owner in owners)
+        for owners in (services, resources)
     )
 
     return SlaDocument(

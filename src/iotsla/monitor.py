@@ -54,11 +54,11 @@ from typing import Callable, Iterable
 
 from .constraints import (
     COMPARABLE_TAGS, DECIMAL_RE, SATISFIED, TypedValue, _compare,
-    check_constraint_against_value, exact_number, to_canonical, unit_factor,
+    check_constraint_against_value, exact_number, to_canonical, type_mismatch, unit_factor,
 )
 from .errors import (
     DomainError, EmptyWindowError, IncompatibleUnitsError, TelemetryFormatError,
-    UnitMismatchError,
+    TypeMismatchError,
 )
 from .model import APP_TARGET, MetricConstraint, SlaDocument, Slo, owned_slos
 from .vocabulary import APPLICATION_CONCEPT, Catalog, VocabularyEntry, load_builtin_catalog
@@ -269,9 +269,8 @@ class _Index:
 
     ``homes``: record target -> (home target, concept), one home for ``app``
     and the document id; ``watchers``: (home, term) -> [(position, slo,
-    constraint, entry, bound)] in declaration order, where ``bound`` is a
-    numeric constraint's value in canonical units as (numerator,
-    denominator), or None when it has none;
+    constraint, entry, bound)] in declaration order, where ``bound`` is
+    :func:`_canonical_bound`'s;
     ``members``: service -> positions of the activities requiring it, filled
     only for ``e2e``.
     """
@@ -309,14 +308,15 @@ class _Index:
 
 def _canonical_bound(constraint: MetricConstraint,
                      entry: VocabularyEntry) -> tuple[int, int] | None:
-    """A numeric constraint's value in ``entry``'s canonical unit as
-    (numerator, denominator), or None when it has none."""
-    if entry.value_type == "numeric" and constraint.value.tag == "numeric":
-        try:
-            return to_canonical(constraint.value, entry, "constraint").as_integer_ratio()
-        except UnitMismatchError:
-            pass  # check_constraint_against_value raises it per window
-    return None
+    """A numeric term's bound in ``entry``'s canonical unit as (numerator,
+    denominator), None for other terms.  A bound that does not fit the term
+    raises what :func:`check_constraint_against_value` would raise."""
+    reason = type_mismatch(entry, constraint.metric, constraint.comparator, constraint.value)
+    if reason is not None:
+        raise TypeMismatchError(reason)
+    if entry.value_type != "numeric":
+        return None
+    return to_canonical(constraint.value, entry, "constraint").as_integer_ratio()
 
 
 def _document_index(doc: SlaDocument, catalog: Catalog) -> _Index:
@@ -391,20 +391,15 @@ def _first_offender(constraint: MetricConstraint, entry: VocabularyEntry,
 
 
 def _breach(constraint: MetricConstraint, entry: VocabularyEntry,
-            bound: tuple[int, int] | None, num: int, den: int) -> TypedValue | None:
+            bound: tuple[int, int], num: int, den: int) -> TypedValue | None:
     """num/den, a window's figure in ``entry``'s canonical unit, as the
-    observed value when it breaks ``constraint``, else None.
-
-    With a ``bound`` from :func:`_canonical_bound`, num * bound_den against
-    bound_num * den compares them exactly in ints.  Without one the checker
-    decides, raising what it raises.
+    observed value when it breaks ``constraint``, else None.  num *
+    bound_den against bound_num * den compares it with the ``bound`` from
+    :func:`_canonical_bound` exactly in ints.
     """
-    if bound is not None and _compare(constraint.comparator, num * bound[1], bound[0] * den):
+    if _compare(constraint.comparator, num * bound[1], bound[0] * den):
         return None
-    observed = TypedValue.numeric(Fraction(num, den), entry.canonical_unit)
-    if bound is None and check_constraint_against_value(constraint, observed, entry) == SATISFIED:
-        return None
-    return observed
+    return TypedValue.numeric(Fraction(num, den), entry.canonical_unit)
 
 
 def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationWindow):

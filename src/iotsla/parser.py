@@ -232,6 +232,25 @@ class _Parser:
             self.fail(f"{token.text!r} is a reserved keyword", token)
         return self.advance()
 
+    def expect_choice(self, token_type: str, choices: tuple[str, ...], what: str) -> _Token:
+        """The next token, a ``token_type`` in ``choices``.
+
+        A ``"name"`` is an identifier read by :meth:`expect_ident`, and one
+        outside ``choices`` is unknown; any other token outside them fails
+        with ``choices`` listed.  ``what`` begins with its article.
+        """
+        if token_type == "name":
+            token = self.expect_ident(what)
+            if token.text not in choices:
+                self.fail(f"unknown {what.partition(' ')[2]} {token.text!r}", token,
+                          frozenset(choices))
+            return token
+        token = self.peek()
+        if token.type != token_type or token.text not in choices:
+            self.fail(f"expected {what} ({', '.join(choices)}), found {self._describe(token)}",
+                      token, frozenset(choices))
+        return self.advance()
+
     def expect_string(self, what: str) -> tuple[str, _Token]:
         token = self.peek()
         if token.type != "string":
@@ -345,21 +364,11 @@ class _Parser:
         self.expect_op("}")
         header_span = self.span(start, self.prev())
 
-        parties = []
-        while self.at_keyword("party"):
-            parties.append(self.parse_party())
-        slos = []
-        while self.at_keyword("slo"):
-            slos.append(self.parse_slo())
-        activities = []
-        while self.at_keyword("activity"):
-            activities.append(self.parse_activity())
-        services = []
-        while self.at_keyword("service"):
-            services.append(self.parse_service())
-        resources = []
-        while self.at_keyword("resource"):
-            resources.append(self.parse_resource())
+        parties = self.blocks("party", self.parse_party)
+        slos = self.blocks("slo", self.parse_slo)
+        activities = self.blocks("activity", self.parse_activity)
+        services = self.blocks("service", self.parse_owner, "service", SERVICE_KINDS)
+        resources = self.blocks("resource", self.parse_owner, "resource", RESOURCE_KINDS)
 
         trailing = self.peek()
         if trailing.type != "eof":
@@ -376,13 +385,20 @@ class _Parser:
             application_type=app_type,
             start_date=start_date,
             end_date=end_date,
-            parties=tuple(parties),
-            slos=tuple(slos),
-            activities=tuple(activities),
-            services=tuple(services),
-            resources=tuple(resources),
+            parties=parties,
+            slos=slos,
+            activities=activities,
+            services=services,
+            resources=resources,
             span=header_span,
         )
+
+    def blocks(self, keyword: str, parse_block, *args) -> tuple:
+        """``parse_block(*args)`` for each block in a row that opens with ``keyword``."""
+        items = []
+        while self.at_keyword(keyword):
+            items.append(parse_block(*args))
+        return tuple(items)
 
     def parse_party(self) -> Party:
         start = self.expect_keyword("party")
@@ -392,17 +408,9 @@ class _Parser:
         name = self.field_string("name", "the party name")
         self.expect_keyword("role")
         self.expect_op("=")
-        role_token = self.peek()
-        if role_token.type != "ident" or role_token.text not in PARTY_ROLES:
-            self.fail(
-                f"expected a party role ({', '.join(PARTY_ROLES)}), "
-                f"found {self._describe(role_token)}",
-                role_token,
-                frozenset(PARTY_ROLES),
-            )
-        self.advance()
+        role = self.expect_choice("ident", PARTY_ROLES, "a party role").text
         self.expect_op("}")
-        return Party(id_token.text, name, role_token.text,
+        return Party(id_token.text, name, role,
                      span=self.span(start, self.prev()))
 
     def parse_slo(self) -> Slo:
@@ -428,18 +436,10 @@ class _Parser:
 
     def parse_constraint(self) -> MetricConstraint:
         metric_token = self.expect_ident("a metric name")
-        op_token = self.peek()
-        if op_token.type != "op" or op_token.text not in COMPARATORS:
-            self.fail(
-                f"expected a comparator ({', '.join(COMPARATORS)}), "
-                f"found {self._describe(op_token)}",
-                op_token,
-                frozenset(COMPARATORS),
-            )
-        self.advance()
+        comparator = self.expect_choice("op", COMPARATORS, "a comparator").text
         value = self.parse_value()
         return MetricConstraint(
-            metric_token.text, op_token.text, value,
+            metric_token.text, comparator, value,
             span=self.span(metric_token, self.prev()),
         )
 
@@ -448,16 +448,13 @@ class _Parser:
         id_token = self.expect_ident("an activity id")
         self.declare_id(id_token)
         self.expect_op(":")
-        kind_token = self.expect_ident("an activity kind")
-        if kind_token.text not in ACTIVITY_KINDS:
-            self.fail(f"unknown activity kind {kind_token.text!r}", kind_token,
-                      frozenset(ACTIVITY_KINDS))
+        kind = self.expect_choice("name", ACTIVITY_KINDS, "an activity kind").text
         self.expect_keyword("requires")
         required = [self.expect_ident("a service id").text]
         while self.peek().type == "op" and self.peek().text == ",":
             self.advance()
             required.append(self.expect_ident("a service id").text)
-        return WorkflowActivity(id_token.text, kind_token.text, tuple(required),
+        return WorkflowActivity(id_token.text, kind, tuple(required),
                                 span=self.span(start, self.prev()))
 
     def parse_config_block(self) -> list[ConfigParam]:
@@ -472,35 +469,22 @@ class _Parser:
         self.expect_op("}")
         return params
 
-    def parse_service(self) -> ServiceSpec:
-        start = self.expect_keyword("service")
-        id_token = self.expect_ident("a service id")
+    def parse_owner(self, keyword: str, kinds: tuple[str, ...]) -> ServiceSpec | InfraResourceSpec:
+        """A ``service`` or ``resource`` block; a service alone names the
+        resource it is deployed ``on``."""
+        start = self.expect_keyword(keyword)
+        id_token = self.expect_ident(f"a {keyword} id")
         self.declare_id(id_token)
         self.expect_op(":")
-        kind_token = self.expect_ident("a service kind")
-        if kind_token.text not in SERVICE_KINDS:
-            self.fail(f"unknown service kind {kind_token.text!r}", kind_token,
-                      frozenset(SERVICE_KINDS))
-        self.expect_keyword("on")
-        deployed_on = self.expect_ident("a resource id").text
-        config = self.parse_config_block()
-        return ServiceSpec(id_token.text, kind_token.text, deployed_on,
-                           config=tuple(config),
-                           span=self.span(start, self.prev()))
-
-    def parse_resource(self) -> InfraResourceSpec:
-        start = self.expect_keyword("resource")
-        id_token = self.expect_ident("a resource id")
-        self.declare_id(id_token)
-        self.expect_op(":")
-        kind_token = self.expect_ident("a resource kind")
-        if kind_token.text not in RESOURCE_KINDS:
-            self.fail(f"unknown resource kind {kind_token.text!r}", kind_token,
-                      frozenset(RESOURCE_KINDS))
-        config = self.parse_config_block()
-        return InfraResourceSpec(id_token.text, kind_token.text,
-                                 config=tuple(config),
-                                 span=self.span(start, self.prev()))
+        kind = self.expect_choice("name", kinds, f"a {keyword} kind").text
+        deployed_on = ()
+        if keyword == "service":
+            self.expect_keyword("on")
+            deployed_on = (self.expect_ident("a resource id").text,)
+        config = tuple(self.parse_config_block())
+        owner = ServiceSpec if deployed_on else InfraResourceSpec
+        return owner(id_token.text, kind, *deployed_on, config=config,
+                     span=self.span(start, self.prev()))
 
 
 def parse(text: str | bytes) -> SlaDocument:
@@ -551,10 +535,6 @@ def _slo_block(slo: Slo, target: str) -> str:
     return "\n".join(lines)
 
 
-def _config_lines(params: tuple[ConfigParam, ...]) -> list[str]:
-    return [f"  {p.term} = {_format_value(p.value)}" for p in params]
-
-
 def serialize(doc: SlaDocument) -> str:
     """Canonical text form: two-space indent, one blank line between blocks.
 
@@ -587,16 +567,10 @@ def serialize(doc: SlaDocument) -> str:
         requires = ", ".join(act.required_services)
         blocks.append(f"activity {act.id} : {act.kind} requires {requires}")
 
-    for svc in doc.services:
-        lines = [f"service {svc.id} : {svc.kind} on {svc.deployed_on} {{"]
-        lines.extend(_config_lines(svc.config))
-        lines.append("}")
-        blocks.append("\n".join(lines))
-
-    for res in doc.resources:
-        lines = [f"resource {res.id} : {res.kind} {{"]
-        lines.extend(_config_lines(res.config))
-        lines.append("}")
-        blocks.append("\n".join(lines))
+    for owner in (*doc.services, *doc.resources):
+        head = (f"service {owner.id} : {owner.kind} on {owner.deployed_on}"
+                if isinstance(owner, ServiceSpec) else f"resource {owner.id} : {owner.kind}")
+        blocks.append("\n".join([f"{head} {{", *[
+            f"  {p.term} = {_format_value(p.value)}" for p in owner.config], "}"]))
 
     return "\n\n".join(blocks) + "\n"

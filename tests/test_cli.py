@@ -583,6 +583,39 @@ def test_stdin_is_read_as_utf8_whatever_its_encoding(tmp_path):
     assert by_stdin.stderr == by_path.stderr.replace(str(path).encode(), b"-")
 
 
+# --- --json on failure paths -----------------------------------------------------
+
+_V004 = {"code": "V004", "severity": "error",
+         "message": "activity 'capture' requires unknown service 'ghost_svc'",
+         "subject": "capture", "line": 26, "col": 1}
+_AFTER_AGREEMENT = {"validate": [], "match": [fx("alpha.offer.json")],
+                    "monitor": [fx("calm.telemetry")]}
+
+
+@pytest.mark.parametrize("command", sorted(_AFTER_AGREEMENT))
+@pytest.mark.parametrize("parses", [True, False], ids=["V004", "parse error"])
+def test_json_failures_print_one_document(capsys, tmp_path, command, parses):
+    agreement, diagnostic = fx("mut_v004.sla"), _V004
+    if not parses:
+        agreement = str(tmp_path / "bad.sla")
+        Path(agreement).write_text("sla sla sla")
+        diagnostic = {"code": "parse", "severity": "error",
+                      "message": "expected the agreement title (a quoted string), found 'sla'",
+                      "subject": agreement, "line": 1, "col": 5}
+    code, out, err = run(capsys, command, agreement, *_AFTER_AGREEMENT[command], "--json")
+    assert code == 1 and err == ""
+    # validate --json prints a list of diagnostics, match and monitor an object
+    shown = [diagnostic] if command == "validate" else {"diagnostics": [diagnostic]}
+    assert json.loads(out) == shown
+
+
+@pytest.mark.parametrize("argv", [["fmt", fx("rhms.sla"), "--check"], ["vocab", "export"]])
+def test_json_only_where_honoured(capsys, argv):
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --json" in err
+
+
 # --- usage ------------------------------------------------------------------------
 
 def test_usage_errors(capsys):

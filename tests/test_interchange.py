@@ -89,6 +89,29 @@ def test_schema_violations_carry_pointers(rhms_doc, mutate, pointer_part):
     assert pointer_part in info.value.pointer
 
 
+@pytest.mark.parametrize("mutate,pointer,message", [
+    (lambda d: d["resources"][0].update(kind="bogus"), "/resources/0/kind",
+     "must be one of iot_device, edge_resource, cloud_resource"),
+    (lambda d: d["activities"][0].update(kind="bogus"), "/activities/0/kind",
+     "must be one of capture_eoi, examine_eoi_on_fly, filter_eoi, aggregate_eoi, "
+     "ingest_data, small_scale_rt_analysis, large_scale_rt_analysis, "
+     "large_scale_hist_analysis, store_structured, store_unstructured"),
+    (lambda d: d["services"][0].pop("deployed_on"), "/services/0/deployed_on",
+     "missing required field"),
+    (lambda d: d["resources"][0].update(deployed_on="cloud_vm"), "/resources/0/deployed_on",
+     "unknown field"),
+    (lambda d: d["app_slos"][0]["constraints"][0].update(comparator="=<"),
+     "/app_slos/0/constraints/0/comparator", "must be one of <, <=, >, >=, =="),
+    (lambda d: d["parties"][0].update(role=5), "/parties/0/role", "must be a string"),
+])
+def test_owner_and_choice_violations_are_pinned(rhms_doc, mutate, pointer, message):
+    data = json.loads(to_interchange(rhms_doc))
+    mutate(data)
+    with pytest.raises(SchemaViolationError) as info:
+        from_interchange(json.dumps(data))
+    assert (info.value.pointer, info.value.message) == (pointer, message)
+
+
 def test_duplicate_id_reported_as_schema_violation(rhms_doc):
     data = json.loads(to_interchange(rhms_doc))
     data["parties"][1]["id"] = data["parties"][0]["id"]

@@ -20,6 +20,7 @@ from iotsla import (
     Slo,
     TelemetryFormatError,
     TypedValue,
+    UnitMismatchError,
     VocabularyEntry,
     check_constraint_against_value,
     load_builtin_catalog,
@@ -680,3 +681,11 @@ def test_every_way_to_build_a_value_or_record_is_checked():
             pickle.loads(pickle.dumps(bogus))
         with pytest.raises(ValueError):
             copy.deepcopy(bogus)
+
+
+def test_a_bound_in_a_foreign_unit_raises_before_any_sample(catalog):
+    # mut_v007.sla bounds network_delay in mb, which V007 reports
+    document = parse(fixture_text("mut_v007.sla"))
+    for check in (monitor_document, end_to_end_response):
+        with pytest.raises(UnitMismatchError, match="^constraint for 'network_delay': "):
+            check(document, [], None, catalog)

@@ -137,6 +137,42 @@ def test_parse_errors_report_the_right_line(source, line):
     assert info.value.line == line
 
 
+SERVICE_KINDS = frozenset("batch_processing database ingestion machine_learning networking "
+                          "sensing stream_processing".split())
+ACTIVITY_KINDS = frozenset("aggregate_eoi capture_eoi examine_eoi_on_fly filter_eoi ingest_data "
+                           "large_scale_hist_analysis large_scale_rt_analysis "
+                           "small_scale_rt_analysis store_structured store_unstructured".split())
+ROLES = frozenset({"consumer", "provider", "third_party"})
+COMPARATORS = frozenset({"<", "<=", "==", ">", ">="})
+
+
+@pytest.mark.parametrize("source,message,line,col,expected", [
+    ("service s : bogus on r { }", "unknown service kind 'bogus'", 7, 13, SERVICE_KINDS),
+    ('service s : "x" on r { }', "expected a service kind, found '\"x\"'", 7, 13,
+     frozenset({"a service kind"})),
+    ("service s : on on r { }", "'on' is a reserved keyword", 7, 13, None),
+    ("resource r : bogus { }", "unknown resource kind 'bogus'", 7, 14,
+     frozenset({"cloud_resource", "edge_resource", "iot_device"})),
+    ("activity a : bogus requires s", "unknown activity kind 'bogus'", 7, 14, ACTIVITY_KINDS),
+    ('party p {\n  name = "P"\n  role = boss\n}',
+     "expected a party role (consumer, provider, third_party), found 'boss'", 9, 10, ROLES),
+    ('party p { name = "P" role = app }',
+     "expected a party role (consumer, provider, third_party), found 'app'", 7, 29, ROLES),
+    ("slo o on app {\n  latency = 5\n}",
+     "expected a comparator (<, <=, >, >=, ==), found '='", 8, 11, COMPARATORS),
+    ("slo o on app { latency 5 }",
+     "expected a comparator (<, <=, >, >=, ==), found '5'", 7, 24, COMPARATORS),
+    ("service s : sensing { }", "expected 'on', found '{'", 7, 21, frozenset({"on"})),
+    ("resource r : iot_device on x { }", "expected '{', found 'on'", 7, 25, frozenset({"{"})),
+])
+def test_owner_and_choice_errors_are_pinned(source, message, line, col, expected):
+    with pytest.raises(ParseError) as info:
+        parse(wrap(source))
+    error = info.value
+    assert (error.message, error.line, error.col) == (message, line, col)
+    assert error.expected == expected
+
+
 def test_error_column_points_at_offender():
     bad = MINIMAL + "slo s on app { latency <= oops== }\n"
     with pytest.raises(ParseError) as info:

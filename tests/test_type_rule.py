@@ -2,7 +2,8 @@
 
 A constraint the validator reports as V008 is exactly one that the checker
 and the matcher refuse with ``TypeMismatchError``, against an observed value
-or a capability that fits the term.
+or a capability that fits the term, and that the monitor refuses before any
+sample arrives.
 """
 
 from datetime import date
@@ -17,6 +18,8 @@ from iotsla import (
     TypeMismatchError,
     TypedValue,
     check_constraint_against_value,
+    end_to_end_response,
+    monitor_document,
     satisfies_capability,
     validate,
 )
@@ -66,3 +69,14 @@ def test_validator_checker_and_matcher_agree(catalog, term, comparator, value):
     assert _refuses(check_constraint_against_value, constraint, FITTING[term], entry) is v008
     offer = ProviderOffer("p", "ingestion", {term: FITTING[term]})
     assert _refuses(satisfies_capability, constraint, offer, catalog) is v008
+
+
+@pytest.mark.parametrize("term,comparator,value", CASES,
+                         ids=[f"{t} {c} {v.tag}" for t, c, v in CASES])
+def test_the_monitor_refuses_the_same_bounds_before_any_sample(catalog, term, comparator,
+                                                                value):
+    document = _document(MetricConstraint(term, comparator, value))
+    v008 = any(d.code == "V008" for d in validate(document, catalog))
+    assert _refuses(monitor_document, document, [], None, catalog) is v008
+    # end to end checks only app SLOs, but builds the index over every SLO
+    assert _refuses(end_to_end_response, document, [], None, catalog) is v008
