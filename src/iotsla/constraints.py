@@ -163,7 +163,6 @@ class TypedValue(namedtuple("TypedValue", "tag value unit")):
     def magnitude(self) -> Fraction:
         if self.tag != "numeric":
             raise TypeMismatchError(f"{self.tag} value has no magnitude")
-        assert isinstance(self.value, Fraction)
         return self.value
 
 
@@ -188,16 +187,26 @@ def units_convertible(a: str, b: str) -> bool:
     )
 
 
+_UNIT_FACTORS: dict[tuple[str, str], Fraction] = {}
+
+
 def unit_factor(from_unit: str, to_unit: str) -> Fraction:
-    """The exact factor that takes a magnitude in ``from_unit`` to ``to_unit``."""
-    fam_a = unit_family(from_unit)
-    fam_b = unit_family(to_unit)
-    if fam_a != fam_b:
-        raise IncompatibleUnitsError(
-            f"cannot convert {from_unit!r} ({fam_a}) to {to_unit!r} ({fam_b})"
-        )
-    table = UNIT_FAMILIES[fam_a]
-    return table[from_unit] / table[to_unit]
+    """The exact factor that takes a magnitude in ``from_unit`` to ``to_unit``.
+
+    Cached when first asked for.  Only same-family pairs of known units are
+    cached, so :data:`UNIT_FAMILIES` bounds the cache; others raise each time.
+    """
+    factor = _UNIT_FACTORS.get((from_unit, to_unit))
+    if factor is None:
+        fam_a = unit_family(from_unit)
+        fam_b = unit_family(to_unit)
+        if fam_a != fam_b:
+            raise IncompatibleUnitsError(
+                f"cannot convert {from_unit!r} ({fam_a}) to {to_unit!r} ({fam_b})"
+            )
+        table = UNIT_FAMILIES[fam_a]
+        factor = _UNIT_FACTORS[from_unit, to_unit] = table[from_unit] / table[to_unit]
+    return factor
 
 
 def convert(magnitude: Magnitude, from_unit: str, to_unit: str) -> Fraction:
@@ -346,27 +355,34 @@ def exact_number(text: str) -> Fraction:
     return Fraction(numerator * 10 ** shift)
 
 
+# Ints below this print with ``str`` under any int string limit Python takes.
+_SHORT_INT = 10**_LOWEST_INT_LIMIT
+
+
+def _int_str(n: int) -> str:
+    return str(n) if -_SHORT_INT < n < _SHORT_INT else str(Decimal(n))
+
+
 def decimal_str_or_fraction(value: Magnitude) -> str:
     """Exact rendering of a Fraction: "99.95" for 1999/20, and "n/d" such
-    as "4/3" when there is no finite decimal.  Digits go through
-    ``Decimal``, which, unlike ``str`` of an int, has no length limit.
+    as "4/3" when there is no finite decimal.  Digits too many for ``str``
+    of an int under the lowest limit Python takes go through ``Decimal``,
+    which has no length limit.
     """
-    num, den = Fraction(value).as_integer_ratio()
+    num, den = value.as_integer_ratio()
     if den == 1:
-        return str(Decimal(num))
-    twos = fives = 0
-    rest = den
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
+        return _int_str(num)
+    twos = (den & -den).bit_length() - 1  # its lowest set bit: the factors of 2
+    rest = den >> twos
+    fives = 0
     while rest % 5 == 0:
         rest //= 5
         fives += 1
     if rest != 1:
-        return f"{Decimal(num)}/{Decimal(den)}"
+        return f"{_int_str(num)}/{_int_str(den)}"
     # the smallest such ``places`` leaves no trailing zero
     places = max(twos, fives)
-    digits = str(Decimal(abs(num) * 10**places // den)).rjust(places + 1, "0")
+    digits = _int_str(abs(num) * 10**places // den).rjust(places + 1, "0")
     sign = "-" if num < 0 else ""
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 

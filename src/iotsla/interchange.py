@@ -60,37 +60,38 @@ __all__ = ["to_interchange", "from_interchange", "emit_json"]
 
 # -- writing -----------------------------------------------------------------
 
-def _emit(value: Any, indent: int) -> str:
-    # strings, objects and arrays first: they skip Fraction's costly ABC check
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        pad = "  " * indent
-        inner = pad + "  "
-        parts = [
-            f"{inner}{encode_basestring(key)}: {_emit(item, indent + 1)}"
-            for key, item in value.items()
-        ]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        pad = "  " * indent
-        inner = pad + "  "
-        parts = [f"{inner}{_emit(item, indent + 1)}" for item in value]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, Fraction)):
+def _emit(value: Any, pad: str, out: list[str]) -> None:
+    """Append the JSON text of ``value`` to ``out``, inner lines past ``pad``."""
+    # strings, objects and arrays by exact type first: they skip the checks
+    # below, Fraction's costly ABC check among them
+    kind = type(value)
+    if kind is str or isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif kind is dict or isinstance(value, dict):
+        inner, lead = pad + "  ", "{\n"
+        for key, item in value.items():
+            out.append(f"{lead}{inner}{encode_basestring(key)}: ")
+            _emit(item, inner, out)
+            lead = ",\n"
+        out.append("{}" if lead == "{\n" else f"\n{pad}}}")  # "{}": no items
+    elif kind is list or isinstance(value, list):
+        inner, lead = pad + "  ", "[\n"
+        for item in value:
+            out.append(lead + inner)
+            _emit(item, inner, out)
+            lead = ",\n"
+        out.append("[]" if lead == "[\n" else f"\n{pad}]")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, (int, Fraction)):
         text = decimal_str_or_fraction(value)
-        return encode_basestring(text) if "/" in text else text  # "4/3": exact
-    if isinstance(value, date):
-        return encode_basestring(value.isoformat())
-    raise TypeError(f"cannot emit {type(value).__name__} as JSON")
+        out.append(encode_basestring(text) if "/" in text else text)  # "4/3": exact
+    elif isinstance(value, date):
+        out.append(encode_basestring(value.isoformat()))
+    else:
+        raise TypeError(f"cannot emit {type(value).__name__} as JSON")
 
 
 def emit_json(value: Any) -> str:
@@ -100,7 +101,9 @@ def emit_json(value: Any) -> str:
     their exact decimal digits; ones with no finite decimal form become
     ``"n/d"`` strings rather than rounded floats.
     """
-    return _emit(value, 0)
+    out: list[str] = []
+    _emit(value, "", out)
+    return "".join(out)
 
 
 def _value_fields(value: TypedValue) -> dict:
@@ -165,7 +168,7 @@ def to_interchange(doc: SlaDocument) -> str:
         data["unattached_slos"] = [
             _slo_dict(s, with_target=True) for s in doc.unattached_slos
         ]
-    return _emit(data, 0) + "\n"
+    return emit_json(data) + "\n"
 
 
 # -- reading -----------------------------------------------------------------
@@ -208,7 +211,10 @@ def _as_str(value: Any, pointer: str) -> str:
 
 
 def _want_str(data: dict, key: str, pointer: str) -> str:
-    return _as_str(_want(data, key, pointer), f"{pointer}/{key}")
+    value = _want(data, key, pointer)
+    if type(value) is str and value.isascii():  # it passes: build no pointer for it
+        return value
+    return _as_str(value, f"{pointer}/{key}")
 
 
 _IDENT_RULE = "must be a lowercase identifier ([a-z][a-z0-9_]*) and not a keyword"
@@ -251,9 +257,9 @@ def _want_date(data: dict, key: str, pointer: str) -> date:
 
 
 def _check_keys(data: dict, allowed: set[str], pointer: str):
-    for key in data:
-        if key not in allowed:
-            raise SchemaViolationError(f"{pointer}/{key}", "unknown field")
+    if not data.keys() <= allowed:
+        key = next(key for key in data if key not in allowed)  # the first unknown
+        raise SchemaViolationError(f"{pointer}/{key}", "unknown field")
 
 
 def _read_typed_value(data: dict, pointer: str) -> TypedValue:
@@ -268,7 +274,7 @@ def _read_typed_value(data: dict, pointer: str) -> TypedValue:
             raise SchemaViolationError(f"{pointer}/unit", "booleans carry no unit")
         return TypedValue.boolean(raw)
     if isinstance(raw, Fraction):  # read_json reads every number as one
-        if raw < 0:
+        if raw.numerator < 0:  # the sign, without Fraction's ABC check on 0
             raise SchemaViolationError(f"{pointer}/value", "must be non-negative")
         return TypedValue("numeric", raw, unit)
     if isinstance(raw, str):

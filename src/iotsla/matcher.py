@@ -80,6 +80,9 @@ class MatchReport:
         }
 
 
+_ZERO = Fraction(0)
+
+
 def _delivered_interval(
     bound: Fraction, entry: VocabularyEntry
 ) -> tuple[Fraction, Fraction | None]:
@@ -89,7 +92,7 @@ def _delivered_interval(
     cannot express a sign), so a lower_is_better bound spans [0, bound].
     """
     if entry.direction == "lower_is_better":
-        return (Fraction(0), bound)
+        return (_ZERO, bound)
     if entry.direction == "higher_is_better":
         return (bound, None)
     # target_equality / none: the bound is exactly what is delivered

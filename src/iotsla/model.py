@@ -1,8 +1,9 @@
 """Structural model of an SLA document.
 
-Everything here is a frozen dataclass.  Source spans are carried for error
-reporting but excluded from equality, so two documents that differ only in
-formatting compare equal.
+Every entity here is a frozen dataclass.  Each carries its source span, a
+checked named tuple, for error reporting; spans are excluded from the
+entities' equality, so two documents that differ only in formatting compare
+equal.
 
 Construction is intentionally permissive: a document whose dates are
 reversed or that lacks an application SLO still builds fine.  Semantic
@@ -13,9 +14,10 @@ ambiguous.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from datetime import date
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .constraints import COMPARATORS, TypedValue
 from .errors import DuplicateIdError, UnknownActivityError
@@ -78,22 +80,28 @@ KNOWN_APPLICATION_TYPES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    """Half-open region of source text, 1-based lines and columns."""
+class SourceSpan(namedtuple("SourceSpan", "start_line start_col end_line end_col")):
+    """Half-open region of source text, 1-based lines and columns.
 
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
+    A span equals, and hashes as, the plain tuple of its fields.  Every way
+    to build one, ``_replace``, ``_make``, pickle and copy included, checks
+    that it does not end before it starts.
+    """
 
-    def __post_init__(self):
-        if (self.start_line, self.start_col) > (self.end_line, self.end_col):
+    __slots__ = ()
+
+    def __new__(cls, start_line: int, start_col: int, end_line: int, end_col: int):
+        if (start_line, start_col) > (end_line, end_col):
             raise ValueError("span start after end")
+        return tuple.__new__(cls, (start_line, start_col, end_line, end_col))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "SourceSpan":
+        return cls(*fields)
 
     @property
     def start(self) -> tuple[int, int]:
-        return (self.start_line, self.start_col)
+        return self[:2]
 
 
 # Span used for entities built programmatically rather than parsed.

@@ -86,13 +86,14 @@ _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 # Whitespace and comments lead into the token after them.  The empty ``eof``
 # alternative always matches, so a match never backtracks into them: it ends
 # at a token, at the end of the input, or at a character no token starts with.
+# No two kinds start with the same character, bar ``date`` before ``number``.
 _TOKEN_RE = re.compile(
     r"""
-      (?:[ \t\r\n]|\#[^\n]*)*
+      [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
       (?:
-        (?P<date>%s)
+        (?P<ident>[a-z][a-z0-9_]*)
+      | (?P<date>%s)
       | (?P<number>%s)
-      | (?P<ident>[a-z][a-z0-9_]*)
       | (?P<string>"(?:\\.|[^"\\\n])*")
       | (?P<op>==|<=|>=|[{}=:,<>])
       | (?P<eof>)
@@ -132,6 +133,7 @@ def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     append = tokens.append
     match_at = _TOKEN_RE.match
+    new = tuple.__new__  # a _Token checks nothing, so skip its Python-level __new__
     pos = 0
     line = 1
     line_start = 0  # offset of the first character of ``line``
@@ -147,7 +149,7 @@ def _tokenize(text: str) -> list[_Token]:
         if kind == "eof":
             break
         pos = match.end()
-        append(_Token(kind, match.group(kind), line, col, line, col + pos - start))
+        append(new(_Token, (kind, match.group(kind), line, col, line, col + pos - start)))
     if start < len(text):
         char = text[start]
         if char == '"':
@@ -200,37 +202,40 @@ class _Parser:
         return repr(token.text)
 
     def expect_op(self, op: str) -> _Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.type != "op" or token.text != op:
             self.fail(
                 f"expected {op!r}, found {self._describe(token)}",
                 token,
                 frozenset({op}),
             )
-        return self.advance()
+        self.pos += 1  # the token is not eof, so advance()'s check is not needed
+        return token
 
     def expect_keyword(self, word: str) -> _Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.type != "ident" or token.text != word:
             self.fail(
                 f"expected {word!r}, found {self._describe(token)}",
                 token,
                 frozenset({word}),
             )
-        return self.advance()
+        self.pos += 1
+        return token
 
     def at_keyword(self, word: str) -> bool:
-        token = self.peek()
+        token = self.tokens[self.pos]
         return token.type == "ident" and token.text == word
 
     def expect_ident(self, what: str = "identifier") -> _Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.type != "ident":
             self.fail(f"expected {what}, found {self._describe(token)}", token,
                       frozenset({what}))
         if token.text in KEYWORDS:
             self.fail(f"{token.text!r} is a reserved keyword", token)
-        return self.advance()
+        self.pos += 1
+        return token
 
     def expect_choice(self, token_type: str, choices: tuple[str, ...], what: str) -> _Token:
         """The next token, a ``token_type`` in ``choices``.
@@ -245,11 +250,12 @@ class _Parser:
                 self.fail(f"unknown {what.partition(' ')[2]} {token.text!r}", token,
                           frozenset(choices))
             return token
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.type != token_type or token.text not in choices:
             self.fail(f"expected {what} ({', '.join(choices)}), found {self._describe(token)}",
                       token, frozenset(choices))
-        return self.advance()
+        self.pos += 1
+        return token
 
     def expect_string(self, what: str) -> tuple[str, _Token]:
         token = self.peek()
@@ -279,7 +285,8 @@ class _Parser:
 
     @staticmethod
     def span(start: _Token, end: _Token) -> SourceSpan:
-        return SourceSpan(start.line, start.col, end.end_line, end.end_col)
+        # ``end`` is never read before ``start``, so the span's check would pass
+        return tuple.__new__(SourceSpan, (start.line, start.col, end.end_line, end.end_col))
 
     def prev(self) -> _Token:
         return self.tokens[self.pos - 1]
@@ -306,9 +313,9 @@ class _Parser:
     # -- values ------------------------------------------------------------
 
     def parse_value(self) -> TypedValue:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.type == "number":
-            self.advance()
+            self.pos += 1
             try:
                 magnitude = exact_number(token.text)
             except ValueError as exc:
@@ -316,11 +323,11 @@ class _Parser:
             unit = self.maybe_unit()
             return TypedValue("numeric", magnitude, unit)
         if token.type == "ident" and token.text in ("true", "false"):
-            self.advance()
+            self.pos += 1
             self.reject_unit_after("a boolean")
             return TypedValue.boolean(token.text == "true")
         if token.type == "string":
-            self.advance()
+            self.pos += 1
             self.reject_unit_after("a text")
             return TypedValue.text(_unescape_string(token))
         self.fail(
@@ -335,13 +342,13 @@ class _Parser:
         # A trailing identifier is a unit unless it starts the next clause
         # (config key followed by '=', or constraint metric followed by a
         # comparator).
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.type != "ident" or token.text in KEYWORDS:
             return None
-        following = self.peek(1)
-        if following.type == "op" and following.text in ("=",) + COMPARATORS:
+        following = self.tokens[self.pos + 1]
+        if following.type == "op" and (following.text == "=" or following.text in COMPARATORS):
             return None
-        self.advance()
+        self.pos += 1
         return token.text
 
     def reject_unit_after(self, what: str):
@@ -426,9 +433,7 @@ class _Parser:
             target = self.expect_ident("an slo target (app or an entity id)").text
         self.expect_op("{")
         constraints = [self.parse_constraint()]
-        while not (self.peek().type == "op" and self.peek().text == "}"):
-            if self.peek().type != "ident" or self.peek().text in KEYWORDS:
-                break
+        while (token := self.tokens[self.pos]).type == "ident" and token.text not in KEYWORDS:
             constraints.append(self.parse_constraint())
         self.expect_op("}")
         return Slo(id_token.text, target, tuple(constraints),
@@ -460,7 +465,7 @@ class _Parser:
     def parse_config_block(self) -> list[ConfigParam]:
         self.expect_op("{")
         params: list[ConfigParam] = []
-        while self.peek().type == "ident" and self.peek().text not in KEYWORDS:
+        while (token := self.tokens[self.pos]).type == "ident" and token.text not in KEYWORDS:
             term_token = self.expect_ident("a configuration term")
             self.expect_op("=")
             value = self.parse_value()

@@ -39,7 +39,9 @@ from iotsla import (
     WorkflowActivity,
     build_document,
     load_builtin_catalog,
+    serialize,
 )
+from iotsla.constraints import decimal_repr
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -329,3 +331,69 @@ def gen_document(rng: random.Random):
         services=services,
         resources=resources,
     )
+
+
+# --- inputs that grow with n --------------------------------------------------
+
+_SCALED_KINDS = ("sensing", "ingestion", "stream_processing", "database", "batch_processing")
+
+
+def _numeric_terms(concept: str, kind: str) -> list:
+    return [e for e in load_builtin_catalog().applicable_terms(concept)
+            if e.value_type == "numeric" and e.kind == kind]
+
+
+def gen_scaled_agreement(rng: random.Random, n: int) -> str:
+    """Agreement text with ``n`` services, each on its own resource, with an
+    activity, a configuration setting and an SLO of one or two catalog
+    metrics.  The units are drawn one after another, so the agreement for
+    ``n`` begins as the one for ``4 * n`` does."""
+    services, resources, activities, slos = [], [], [], [
+        Slo("e2e", "app", (MetricConstraint(
+            "end_to_end_response_time", "<=", TypedValue.numeric(60, "time_unit")),))]
+    for k in range(n):
+        kind = rng.choice(_SCALED_KINDS)
+        config = rng.choice(_numeric_terms(kind, "configuration_parameter"))
+        resources.append(InfraResourceSpec(f"res{k}", rng.choice(RESOURCE_KINDS)))
+        services.append(ServiceSpec(
+            f"svc{k}", kind, f"res{k}", config=(ConfigParam(
+                config.term, TypedValue.numeric(gen_fraction(rng), config.canonical_unit)),)))
+        activities.append(WorkflowActivity(f"act{k}", rng.choice(ACTIVITY_KINDS), (f"svc{k}",)))
+        metrics = rng.sample(_numeric_terms(kind, "qos_metric"), rng.randint(1, 2))
+        slos.append(Slo(f"slo{k}", f"svc{k}", tuple(
+            MetricConstraint(
+                e.term, "<=" if e.direction == "lower_is_better" else ">=",
+                TypedValue.numeric(gen_fraction(rng), e.canonical_unit))
+            for e in metrics)))
+    return serialize(build_document(
+        title="scaled", doc_id="scaled", application_type="smart_city",
+        start_date=date(2026, 1, 1), end_date=date(2027, 1, 1),
+        parties=(Party("buyer", "Buyer", "consumer"), Party("seller", "Seller", "provider")),
+        slos=tuple(slos), activities=tuple(activities), services=tuple(services),
+        resources=tuple(resources)))
+
+
+def gen_scaled_telemetry(rng: random.Random, doc, lines: int) -> str:
+    """``lines`` telemetry lines over ten 60-unit windows, each a sample of
+    a metric one of ``doc``'s service SLOs bounds."""
+    watched = [(s.id, c.metric, c.value.unit) for s in doc.services
+               for slo in s.slos for c in slo.constraints]
+    out = []
+    for _ in range(lines):
+        target, metric, unit = rng.choice(watched)
+        value = decimal_repr(gen_fraction(rng))
+        out.append(f"{rng.randrange(600)}\t{target}\t{metric}\t{value} {unit}\n")
+    return "".join(out)
+
+
+def gen_offer_texts(rng: random.Random, concept: str, n: int) -> list[str]:
+    """``n`` offer documents for ``concept``, each stating every numeric
+    metric of it."""
+    return [
+        '{"provider_id": "p%d", "concept": "%s", "capabilities": [%s]}' % (
+            i, concept, ", ".join(
+                '{"metric": "%s", "value": %s, "unit": "%s"}'
+                % (e.term, decimal_repr(gen_fraction(rng)), e.canonical_unit)
+                for e in _numeric_terms(concept, "qos_metric")))
+        for i in range(n)
+    ]

@@ -1,5 +1,7 @@
 """Units, typed values, and constraint checking."""
 
+import random
+import string
 import sys
 import tracemalloc
 from decimal import Decimal
@@ -26,6 +28,7 @@ from iotsla import (
     parse_telemetry,
     units_convertible,
 )
+from iotsla import constraints
 from iotsla.constraints import (
     DECIMAL_RE,
     _trusted_numeric,
@@ -33,6 +36,7 @@ from iotsla.constraints import (
     decimal_str_or_fraction,
     exact_number,
     mean,
+    unit_factor,
     unit_family,
 )
 from iotsla.errors import DomainError
@@ -80,6 +84,27 @@ def test_unknown_unit_rejected():
     with pytest.raises(IncompatibleUnitsError):
         unit_family("furlongs")
     assert not units_convertible("furlongs", "ms")
+
+
+def test_the_unit_factor_cache_is_exact_and_bounded(monkeypatch):
+    monkeypatch.setattr(constraints, "_UNIT_FACTORS", {})
+    pairs = [(a, b, table) for table in UNIT_FAMILIES.values() for a in table for b in table]
+    for a, b, table in pairs * 2:  # the first time fills the cache, the second reads it
+        assert unit_factor(a, b) == table[a] / table[b]
+    rng = random.Random(17)
+    units = sorted(KNOWN_UNITS)
+    for _ in range(10_000):
+        a, b = (rng.choice(units) if rng.random() < 0.5 else
+                "".join(rng.choices(string.ascii_lowercase + "_ ", k=rng.randint(0, 4)))
+                for _ in range(2))
+        if units_convertible(a, b):
+            table = UNIT_FAMILIES[unit_family(a)]
+            assert unit_factor(a, b) == table[a] / table[b]
+            continue
+        for _ in range(2):  # unknown and cross-family pairs raise every time
+            with pytest.raises(IncompatibleUnitsError):
+                unit_factor(a, b)
+    assert len(constraints._UNIT_FACTORS) == len(pairs)
 
 
 @given(

@@ -18,6 +18,7 @@ from iotsla import (
     MetricConstraint,
     ParseError,
     Slo,
+    SourceSpan,
     TelemetryFormatError,
     TypedValue,
     UnitMismatchError,
@@ -645,11 +646,14 @@ def _value_and_records():
          (None, None, None, "no telemetry records"),
          "CoverageGap(window_start=None, window_end=None, activity_id=None, "
          "note='no telemetry records')"),
+        (SourceSpan(1, 2, 3, 4), (1, 2, 3, 4),
+         "SourceSpan(start_line=1, start_col=2, end_line=3, end_col=4)"),
     ]
 
 
 @pytest.mark.parametrize("item, fields, text", _value_and_records(),
-                         ids=["numeric", "boolean", "record", "violation", "aggregate", "gap"])
+                         ids=["numeric", "boolean", "record", "violation", "aggregate", "gap",
+                              "span"])
 def test_values_and_records_are_the_tuples_of_their_fields(item, fields, text):
     # equal to, and hashed as, the plain tuple: each type's frozen dataclass
     # hashed that tuple too
@@ -673,10 +677,18 @@ def test_every_way_to_build_a_value_or_record_is_checked():
         TypedValue._make(["numeric", 1.5, None])
     assert value._replace(unit="ms") == TypedValue.numeric(1, "ms")
     assert record._replace(timestamp=7) == TelemetryRecord(7, "a", "b", value)
+    span = SourceSpan(1, 2, 3, 4)
+    with pytest.raises(ValueError, match="span start after end"):
+        span._replace(start_line=5)
+    with pytest.raises(ValueError, match="span start after end"):
+        SourceSpan._make([1, 5, 1, 4])
+    assert span._replace(end_col=1) == SourceSpan(1, 2, 3, 1)
+    assert span.start == (1, 2)
     # pickle and copy rebuild through the constructor, so they refuse what
     # it refuses
     for bogus in (tuple.__new__(TypedValue, ("bogus", Fraction(1), None)),
-                  tuple.__new__(TelemetryRecord, (-5, "a", "b", value))):
+                  tuple.__new__(TelemetryRecord, (-5, "a", "b", value)),
+                  tuple.__new__(SourceSpan, (3, 1, 1, 1))):
         with pytest.raises(ValueError):
             pickle.loads(pickle.dumps(bogus))
         with pytest.raises(ValueError):
