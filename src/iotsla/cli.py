@@ -35,6 +35,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     from .model import MetricConstraint, SlaDocument
+    from .validator import Diagnostic
     from .vocabulary import Catalog
 
 __all__ = ["main", "entrypoint"]
@@ -64,6 +65,13 @@ def _read_text(path: str) -> str:
         raise _CliFailure(2, f"{path} is not valid UTF-8") from None
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _CliFailure(2, f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _load_catalog(overlay_path: str | None) -> Catalog:
     from .vocabulary import Catalog, load_builtin_catalog
 
@@ -89,28 +97,26 @@ def _parse_sla(path: str) -> SlaDocument:
             "subject": path, "line": exc.line, "col": exc.col}]) from None
 
 
-def _validate_or_fail(path: str, catalog: Catalog) -> SlaDocument:
-    """Parse and validate; abort with diagnostics when errors exist."""
+def _validate_or_fail(path: str, catalog: Catalog) -> tuple[SlaDocument, list[Diagnostic]]:
+    """Parse and validate: the document and its diagnostics, or an abort
+    with the diagnostics when errors exist."""
     from .validator import ERROR, format_diagnostic, validate
 
     doc = _parse_sla(path)
     diagnostics = validate(doc, catalog)
-    errors = [d for d in diagnostics if d.severity == ERROR]
-    if errors:
+    if any(d.severity == ERROR for d in diagnostics):
         lines = "\n".join(format_diagnostic(d, path) for d in diagnostics)
         raise _CliFailure(1, lines, [d.to_dict() for d in diagnostics])
-    return doc
+    return doc, diagnostics
 
 
 # -- commands ----------------------------------------------------------------
 
 
 def _cmd_validate(args) -> int:
-    from .validator import ERROR, format_diagnostic, validate
+    from .validator import format_diagnostic
 
-    catalog = _load_catalog(args.catalog)
-    doc = _parse_sla(args.path)
-    diagnostics = validate(doc, catalog)
+    doc, diagnostics = _validate_or_fail(args.path, _load_catalog(args.catalog))
     if args.json:
         from .interchange import emit_json
 
@@ -121,10 +127,7 @@ def _cmd_validate(args) -> int:
         if not diagnostics and args.verbose:
             print(f"{args.path}: ok ({doc.id}, {len(doc.services)} services, "
                   f"{len(doc.resources)} resources)")
-    has_errors = any(d.severity == ERROR for d in diagnostics)
-    if has_errors or (args.strict and diagnostics):
-        return 1
-    return 0
+    return 1 if args.strict and diagnostics else 0
 
 
 def _cmd_vocab(args) -> int:
@@ -184,10 +187,7 @@ def _cmd_vocab(args) -> int:
     if args.output is None or args.output == "-":
         print(text)
     else:
-        try:
-            Path(args.output).write_text(text + "\n", encoding="utf-8")
-        except OSError as exc:
-            raise _CliFailure(2, f"cannot write {args.output}: {exc.strerror or exc}") from None
+        _write_text(args.output, text + "\n")
     return 0
 
 
@@ -231,7 +231,7 @@ def _cmd_match(args) -> int:
     from .model import owned_slos
 
     catalog = _load_catalog(args.catalog)
-    doc = _validate_or_fail(args.request, catalog)
+    doc, _ = _validate_or_fail(args.request, catalog)
 
     offers = []
     for offer_path in args.offers:
@@ -283,7 +283,7 @@ def _cmd_monitor(args) -> int:
     from .monitor import EvaluationWindow, monitor_document, parse_telemetry
 
     catalog = _load_catalog(args.catalog)
-    doc = _validate_or_fail(args.sla, catalog)
+    doc, _ = _validate_or_fail(args.sla, catalog)
     telemetry_text = _read_text(args.telemetry)
     try:
         records, skipped_values = parse_telemetry(telemetry_text)
@@ -359,10 +359,7 @@ def _cmd_fmt(args) -> int:
     if args.path == "-":
         print(canonical, end="")
     elif canonical != text:
-        try:
-            Path(args.path).write_text(canonical, encoding="utf-8")
-        except OSError as exc:
-            raise _CliFailure(2, f"cannot write {args.path}: {exc.strerror or exc}") from None
+        _write_text(args.path, canonical)
         print(f"reformatted {args.path}")
     return 0
 

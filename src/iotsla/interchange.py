@@ -238,10 +238,24 @@ def _want_list(data: dict, key: str, pointer: str, default: list | None = None) 
     return value
 
 
-def _want_object(value: Any, pointer: str) -> dict:
+def _want_object(value: Any, pointer: str, allowed: set[str] | None = None) -> dict:
+    """``value`` if it is an object with no key outside ``allowed``, when
+    that is given; a root ``pointer`` of "" reports at "/"."""
     if not isinstance(value, dict):
-        raise SchemaViolationError(pointer, "must be an object")
+        raise SchemaViolationError(pointer or "/", "must be an object")
+    if allowed is not None and not value.keys() <= allowed:
+        key = next(key for key in value if key not in allowed)  # the first unknown
+        raise SchemaViolationError(f"{pointer}/{key}", "unknown field")
     return value
+
+
+def _objects(data: dict, key: str, pointer: str, allowed: set[str],
+             default: list | None = None):
+    """(pointer, object) for each item of the array under ``key``, each an
+    object with no key outside ``allowed``."""
+    for i, item in enumerate(_want_list(data, key, pointer, default)):
+        at = f"{pointer}/{key}/{i}"
+        yield at, _want_object(item, at, allowed)
 
 
 def _want_date(data: dict, key: str, pointer: str) -> date:
@@ -254,12 +268,6 @@ def _want_date(data: dict, key: str, pointer: str) -> date:
         except ValueError:
             pass
     raise SchemaViolationError(f"{pointer}/{key}", "must be a YYYY-MM-DD date")
-
-
-def _check_keys(data: dict, allowed: set[str], pointer: str):
-    if not data.keys() <= allowed:
-        key = next(key for key in data if key not in allowed)  # the first unknown
-        raise SchemaViolationError(f"{pointer}/{key}", "unknown field")
 
 
 def _read_typed_value(data: dict, pointer: str) -> TypedValue:
@@ -284,36 +292,24 @@ def _read_typed_value(data: dict, pointer: str) -> TypedValue:
     raise SchemaViolationError(f"{pointer}/value", "must be a number, boolean, or string")
 
 
-def _read_constraint(value: Any, pointer: str) -> MetricConstraint:
-    data = _want_object(value, pointer)
-    _check_keys(data, {"metric", "comparator", "value", "unit"}, pointer)
-    metric = _want_ident(data, "metric", pointer)
-    comparator = _read_choice(data, "comparator", pointer, COMPARATORS)
-    return MetricConstraint(metric, comparator, _read_typed_value(data, pointer))
+_SLO_KEYS = {"id", "constraints"}
 
 
-def _read_slo(value: Any, pointer: str, target: str, with_target: bool = False) -> Slo:
-    data = _want_object(value, pointer)
-    allowed = {"id", "constraints"} | ({"target"} if with_target else set())
-    _check_keys(data, allowed, pointer)
+def _read_slo(pointer: str, data: dict, target: str | None) -> Slo:
+    """The SLO ``data`` on ``target``; a target of None is read from it."""
     slo_id = _want_ident(data, "id", pointer)
-    if with_target:
+    if target is None:
         target = _want_ident(data, "target", pointer)
-    raw_constraints = _want_list(data, "constraints", pointer)
-    if not raw_constraints:
-        raise SchemaViolationError(f"{pointer}/constraints", "must not be empty")
     constraints = tuple(
-        _read_constraint(item, f"{pointer}/constraints/{i}")
-        for i, item in enumerate(raw_constraints)
+        MetricConstraint(_want_ident(item, "metric", at),
+                         _read_choice(item, "comparator", at, COMPARATORS),
+                         _read_typed_value(item, at))
+        for at, item in _objects(data, "constraints", pointer,
+                                 {"metric", "comparator", "value", "unit"})
     )
+    if not constraints:
+        raise SchemaViolationError(f"{pointer}/constraints", "must not be empty")
     return Slo(slo_id, target, constraints)
-
-
-def _read_config(value: Any, pointer: str) -> ConfigParam:
-    data = _want_object(value, pointer)
-    _check_keys(data, {"term", "value", "unit"}, pointer)
-    term = _want_ident(data, "term", pointer)
-    return ConfigParam(term, _read_typed_value(data, pointer))
 
 
 def _read_choice(data: dict, key: str, pointer: str, choices: tuple[str, ...]) -> str:
@@ -330,20 +326,16 @@ def _read_owners(data: dict, key: str, cls: type, kinds: tuple[str, ...],
     placed = cls is ServiceSpec
     allowed = {"id", "kind", "slos", "config"} | ({"deployed_on"} if placed else set())
     owners = []
-    for i, item in enumerate(_want_list(data, key, "")):
-        pointer = f"/{key}/{i}"
-        obj = _want_object(item, pointer)
-        _check_keys(obj, allowed, pointer)
+    for pointer, obj in _objects(data, key, "", allowed):
         owner_id = _want_ident(obj, "id", pointer)
-        slos.extend(
-            _read_slo(slo_item, f"{pointer}/slos/{j}", owner_id)
-            for j, slo_item in enumerate(_want_list(obj, "slos", pointer, default=[]))
-        )
+        slos.extend(_read_slo(at, item, owner_id)
+                    for at, item in _objects(obj, "slos", pointer, _SLO_KEYS, default=[]))
         kind = _read_choice(obj, "kind", pointer, kinds)
         deployed_on = (_want_ident(obj, "deployed_on", pointer),) if placed else ()
         owners.append(cls(owner_id, kind, *deployed_on, config=tuple(
-            _read_config(cfg, f"{pointer}/config/{j}")
-            for j, cfg in enumerate(_want_list(obj, "config", pointer, default=[]))
+            ConfigParam(_want_ident(item, "term", at), _read_typed_value(item, at))
+            for at, item in _objects(obj, "config", pointer, {"term", "value", "unit"},
+                                     default=[])
         )))
     return owners
 
@@ -354,13 +346,9 @@ def from_interchange(text: str | bytes) -> SlaDocument:
     Raises :class:`SchemaViolationError` with a JSON-pointer path on any
     structural problem.  Semantic checks still belong to the validator.
     """
-    data = _want_object(read_json(text), "/")
-    _check_keys(
-        data,
-        {"title", "id", "application_type", "start_date", "end_date", "parties",
-         "app_slos", "activities", "services", "resources", "unattached_slos"},
-        "",
-    )
+    data = _want_object(read_json(text), "", {
+        "title", "id", "application_type", "start_date", "end_date", "parties",
+        "app_slos", "activities", "services", "resources", "unattached_slos"})
 
     title = _want_str(data, "title", "")
     doc_id = _want_ident(data, "id", "")
@@ -369,24 +357,16 @@ def from_interchange(text: str | bytes) -> SlaDocument:
     end_date = _want_date(data, "end_date", "")
 
     parties = []
-    for i, item in enumerate(_want_list(data, "parties", "")):
-        pointer = f"/parties/{i}"
-        obj = _want_object(item, pointer)
-        _check_keys(obj, {"id", "name", "role"}, pointer)
+    for pointer, obj in _objects(data, "parties", "", {"id", "name", "role"}):
         role = _read_choice(obj, "role", pointer, PARTY_ROLES)
         parties.append(Party(_want_ident(obj, "id", pointer),
                              _want_str(obj, "name", pointer), role))
 
-    slos = [
-        _read_slo(item, f"/app_slos/{i}", APP_TARGET)
-        for i, item in enumerate(_want_list(data, "app_slos", ""))
-    ]
+    slos = [_read_slo(at, item, APP_TARGET)
+            for at, item in _objects(data, "app_slos", "", _SLO_KEYS)]
 
     activities = []
-    for i, item in enumerate(_want_list(data, "activities", "")):
-        pointer = f"/activities/{i}"
-        obj = _want_object(item, pointer)
-        _check_keys(obj, {"id", "kind", "required_services"}, pointer)
+    for pointer, obj in _objects(data, "activities", "", {"id", "kind", "required_services"}):
         refs = _want_list(obj, "required_services", pointer)
         if not refs:
             raise SchemaViolationError(f"{pointer}/required_services", "must not be empty")
@@ -403,10 +383,8 @@ def from_interchange(text: str | bytes) -> SlaDocument:
 
     services = _read_owners(data, "services", ServiceSpec, SERVICE_KINDS, slos)
     resources = _read_owners(data, "resources", InfraResourceSpec, RESOURCE_KINDS, slos)
-    slos.extend(
-        _read_slo(item, f"/unattached_slos/{i}", "", with_target=True)
-        for i, item in enumerate(_want_list(data, "unattached_slos", "", default=[]))
-    )
+    slos.extend(_read_slo(at, item, None) for at, item in _objects(
+        data, "unattached_slos", "", {"id", "target", "constraints"}, default=[]))
 
     try:
         return build_document(

@@ -32,9 +32,7 @@ from .constraints import (
     type_mismatch,
 )
 from .errors import SchemaViolationError, UnitMismatchError
-from .interchange import (
-    _check_keys, _read_typed_value, _want_list, _want_object, _want_str, read_json,
-)
+from .interchange import _objects, _read_typed_value, _want_object, _want_str, read_json
 from .model import MetricConstraint
 from .vocabulary import Catalog, VocabularyEntry, VALID_CONCEPTS
 
@@ -245,8 +243,7 @@ def load_offer(text: str | bytes, catalog: Catalog) -> ProviderOffer:
     define for the offer's concept and values that do not fit their term's
     value type or unit family.
     """
-    data = _want_object(read_json(text), "/")
-    _check_keys(data, {"provider_id", "concept", "capabilities"}, "")
+    data = _want_object(read_json(text), "", {"provider_id", "concept", "capabilities"})
     provider_id = _want_str(data, "provider_id", "")
     if not provider_id:
         raise SchemaViolationError("/provider_id", "must be a non-empty string")
@@ -257,9 +254,7 @@ def load_offer(text: str | bytes, catalog: Catalog) -> ProviderOffer:
         )
 
     capabilities: dict[str, TypedValue] = {}
-    for i, item in enumerate(_want_list(data, "capabilities", "")):
-        pointer = f"/capabilities/{i}"
-        _check_keys(_want_object(item, pointer), {"metric", "value", "unit"}, pointer)
+    for pointer, item in _objects(data, "capabilities", "", {"metric", "value", "unit"}):
         metric = _want_str(item, "metric", pointer)
         entry = catalog.lookup(metric, concept)
         if entry is None:

@@ -12,7 +12,9 @@ constraints watching it, with each numeric bound in canonical units.  Each
 record is resolved by dictionary lookup, put into canonical units at most
 once (one factor per unit pair and call) and folded into one exact
 accumulator per (target, term, window); time-family samples also update
-each requiring activity's per-window maximum.  Constraints are checked
+each requiring activity's per-window maximum.  An application constraint
+whose term resolves, under any alias, to end-to-end response time is
+checked against the sum of those maxima.  Constraints are checked
 afterwards, once per window with samples: O(records + windows ×
 constraints).  The accumulators merge in any order, so results do not
 depend on record order.
@@ -270,15 +272,17 @@ class _Index:
     ``homes``: record target -> (home target, concept), one home for ``app``
     and the document id; ``watchers``: (home, term) -> [(position, slo,
     constraint, entry, bound)] in declaration order, where ``bound`` is
-    :func:`_canonical_bound`'s;
-    ``members``: service -> positions of the activities requiring it, filled
-    only for ``e2e``.
+    :func:`_canonical_bound`'s; ``e2e``: such tuples for the app home's
+    constraints whose term, under any alias, is end-to-end response time,
+    which a document index sums from the activities (None in any other
+    index, which samples the term like any other); ``members``: service ->
+    positions of the activities requiring it, filled only for ``e2e``.
     """
 
     def __init__(self, catalog: Catalog, homes: dict[str, tuple[str, str]]):
         self.catalog, self.homes = catalog, homes
         self.watchers: dict[tuple[str, str], list] = {}
-        self.e2e: list[tuple[int, Slo, MetricConstraint]] = []
+        self.e2e: list | None = None
         self.activities: tuple[str, ...] = ()
         self.members: dict[str, list[int]] = {}
         self.positions = count()
@@ -288,17 +292,18 @@ class _Index:
         entry = self.catalog.lookup(constraint.metric, concept)
         if entry is None:
             return
-        self.watchers.setdefault((home, entry.term), []).append(
-            (position, slo, constraint, entry, _canonical_bound(constraint, entry)))
+        if self.e2e is not None and (home, entry.term) == (APP_TARGET, _E2E_METRIC):
+            watchers = self.e2e
+        else:
+            watchers = self.watchers.setdefault((home, entry.term), [])
+        watchers.append((position, slo, constraint, entry, _canonical_bound(constraint, entry)))
 
-    def route(self, target_id: str, metric: str, entries: dict):
+    def route(self, target_id: str, metric: str):
         """(entry, watched key or None, activity positions); None if unknown."""
         if target_id not in self.homes:
             return None
         home, concept = self.homes[target_id]
-        if (metric, concept) not in entries:
-            entries[metric, concept] = self.catalog.lookup(metric, concept)
-        entry = entries[metric, concept]
+        entry = self.catalog.lookup(metric, concept)
         if entry is None:
             return None
         watched = (home, entry.term) if (home, entry.term) in self.watchers else None
@@ -324,11 +329,10 @@ def _document_index(doc: SlaDocument, catalog: Catalog) -> _Index:
     homes.update((s.id, (s.id, s.kind)) for s in doc.services)
     homes[doc.id] = homes[APP_TARGET] = (APP_TARGET, APPLICATION_CONCEPT)
     index = _Index(catalog, homes)
+    index.e2e = []
     for home, concept, slo in owned_slos(doc):
-        for constraint in slo.constraints:
-            if home == APP_TARGET and constraint.metric == _E2E_METRIC:
-                index.e2e.append((next(index.positions), slo, constraint))
-            elif concept is not None:
+        if concept is not None:  # None: an unattached SLO
+            for constraint in slo.constraints:
                 index.watch(home, concept, slo, constraint)
     if index.e2e:
         index.activities = tuple(a.id for a in doc.activities)
@@ -409,7 +413,6 @@ def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationW
     records with an unknown target or a metric unknown for its concept).
     """
     routes: dict[tuple[str, str], tuple | None] = {}  # (target id, metric) -> route
-    entries: dict[tuple[str, str], VocabularyEntry | None] = {}  # (metric, concept) -> entry
     # (unit, canonical unit) -> factor as (num, den)
     factors: dict[tuple[str, str], tuple[int, int] | None] = {}
     states: dict[tuple[str, str, int], list | dict] = {}  # (home, term, window) -> state
@@ -422,7 +425,7 @@ def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationW
         key = (record.target_id, record.metric)
         route = routes.get(key, False)
         if route is False:
-            route = routes[key] = index.route(*key, entries)
+            route = routes[key] = index.route(*key)
         if route is None:
             skipped += 1
             continue
@@ -473,9 +476,6 @@ def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationW
     # End to end, the window's figure is the sum of the activities' maxima,
     # num/den again, checked the same way.
     gaps = []
-    e2e_entry = index.catalog.lookup(_E2E_METRIC, APPLICATION_CONCEPT)
-    e2e = [(position, slo, constraint, _canonical_bound(constraint, e2e_entry))
-           for position, slo, constraint in index.e2e]
     for slot in sorted(maxima):
         start, end = window.bounds(slot)
         gaps += [CoverageGap(start, end, activity_id,
@@ -485,8 +485,8 @@ def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationW
         for peak in maxima[slot]:
             if peak is not None:
                 num, den = _plus(num, den, *peak)
-        for position, slo, constraint, bound in e2e:
-            observed = _breach(constraint, e2e_entry, bound, num, den)
+        for position, slo, constraint, entry, bound in index.e2e:
+            observed = _breach(constraint, entry, bound, num, den)
             if observed is not None:
                 events.append((slot, position, ViolationEvent(start, end, slo.id, constraint,
                                                               observed)))
@@ -585,7 +585,8 @@ def end_to_end_response(
     *,
     on_coverage_gap: Callable[[CoverageGap], None] | None = None,
 ) -> list[ViolationEvent]:
-    """Check application ``end_to_end_response_time`` SLOs.
+    """Check application ``end_to_end_response_time`` SLOs, under the term
+    or any alias the catalog gives it.
 
     Per window, the end-to-end figure is the sum over activities (in
     declaration order) of the maximum time-family sample among that

@@ -184,8 +184,8 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[self.pos + ahead]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> _Token:
         token = self.tokens[self.pos]
@@ -201,31 +201,15 @@ class _Parser:
             return "end of input"
         return repr(token.text)
 
-    def expect_op(self, op: str) -> _Token:
+    def expect(self, text: str) -> _Token:
+        """The next token, a keyword or operator spelt ``text``: no other
+        kind of token is spelt as one."""
         token = self.tokens[self.pos]
-        if token.type != "op" or token.text != op:
-            self.fail(
-                f"expected {op!r}, found {self._describe(token)}",
-                token,
-                frozenset({op}),
-            )
+        if token.text != text:
+            self.fail(f"expected {text!r}, found {self._describe(token)}", token,
+                      frozenset({text}))
         self.pos += 1  # the token is not eof, so advance()'s check is not needed
         return token
-
-    def expect_keyword(self, word: str) -> _Token:
-        token = self.tokens[self.pos]
-        if token.type != "ident" or token.text != word:
-            self.fail(
-                f"expected {word!r}, found {self._describe(token)}",
-                token,
-                frozenset({word}),
-            )
-        self.pos += 1
-        return token
-
-    def at_keyword(self, word: str) -> bool:
-        token = self.tokens[self.pos]
-        return token.type == "ident" and token.text == word
 
     def expect_ident(self, what: str = "identifier") -> _Token:
         token = self.tokens[self.pos]
@@ -257,15 +241,15 @@ class _Parser:
         self.pos += 1
         return token
 
-    def expect_string(self, what: str) -> tuple[str, _Token]:
+    def expect_string(self, what: str) -> str:
         token = self.peek()
         if token.type != "string":
             self.fail(f"expected {what} (a quoted string), found {self._describe(token)}",
                       token, frozenset({"string"}))
         self.advance()
-        return _unescape_string(token), token
+        return _unescape_string(token)
 
-    def expect_date(self, what: str) -> tuple[date, _Token]:
+    def expect_date(self, what: str) -> date:
         token = self.peek()
         if token.type != "date":
             self.fail(f"expected {what} (YYYY-MM-DD), found {self._describe(token)}",
@@ -275,7 +259,7 @@ class _Parser:
         except ValueError:
             self.fail(f"invalid calendar date {token.text!r}", token)
         self.advance()
-        return value, token
+        return value
 
     def declare_id(self, token: _Token) -> str:
         if token.text in self.seen_ids:
@@ -291,24 +275,11 @@ class _Parser:
     def prev(self) -> _Token:
         return self.tokens[self.pos - 1]
 
-    # -- field helpers -----------------------------------------------------
-
-    def field_ident(self, key: str, what: str) -> _Token:
-        self.expect_keyword(key)
-        self.expect_op("=")
-        return self.expect_ident(what)
-
-    def field_string(self, key: str, what: str) -> str:
-        self.expect_keyword(key)
-        self.expect_op("=")
-        value, _ = self.expect_string(what)
-        return value
-
-    def field_date(self, key: str, what: str) -> date:
-        self.expect_keyword(key)
-        self.expect_op("=")
-        value, _ = self.expect_date(what)
-        return value
+    def field(self, key: str, read, *args):
+        """``read(*args)`` after ``key =``."""
+        self.expect(key)
+        self.expect("=")
+        return read(*args)
 
     # -- values ------------------------------------------------------------
 
@@ -360,15 +331,15 @@ class _Parser:
 
     def parse_document(self) -> SlaDocument:
         start = self.peek()
-        self.expect_keyword("sla")
-        title, _ = self.expect_string("the agreement title")
-        self.expect_op("{")
-        doc_id_token = self.field_ident("id", "the agreement id")
+        self.expect("sla")
+        title = self.expect_string("the agreement title")
+        self.expect("{")
+        doc_id_token = self.field("id", self.expect_ident, "the agreement id")
         self.declare_id(doc_id_token)
-        app_type = self.field_ident("application", "an application type").text
-        start_date = self.field_date("starts", "the start date")
-        end_date = self.field_date("ends", "the end date")
-        self.expect_op("}")
+        app_type = self.field("application", self.expect_ident, "an application type").text
+        start_date = self.field("starts", self.expect_date, "the start date")
+        end_date = self.field("ends", self.expect_date, "the end date")
+        self.expect("}")
         header_span = self.span(start, self.prev())
 
         parties = self.blocks("party", self.parse_party)
@@ -403,39 +374,35 @@ class _Parser:
     def blocks(self, keyword: str, parse_block, *args) -> tuple:
         """``parse_block(*args)`` for each block in a row that opens with ``keyword``."""
         items = []
-        while self.at_keyword(keyword):
+        while self.peek().text == keyword:
             items.append(parse_block(*args))
         return tuple(items)
 
     def parse_party(self) -> Party:
-        start = self.expect_keyword("party")
+        start = self.expect("party")
         id_token = self.expect_ident("a party id")
         self.declare_id(id_token)
-        self.expect_op("{")
-        name = self.field_string("name", "the party name")
-        self.expect_keyword("role")
-        self.expect_op("=")
-        role = self.expect_choice("ident", PARTY_ROLES, "a party role").text
-        self.expect_op("}")
+        self.expect("{")
+        name = self.field("name", self.expect_string, "the party name")
+        role = self.field("role", self.expect_choice, "ident", PARTY_ROLES, "a party role").text
+        self.expect("}")
         return Party(id_token.text, name, role,
                      span=self.span(start, self.prev()))
 
     def parse_slo(self) -> Slo:
-        start = self.expect_keyword("slo")
+        start = self.expect("slo")
         id_token = self.expect_ident("an slo id")
         self.declare_id(id_token)
-        self.expect_keyword("on")
-        target_token = self.peek()
-        if target_token.type == "ident" and target_token.text == APP_TARGET:
-            self.advance()
-            target = APP_TARGET
+        self.expect("on")
+        if self.peek().text == APP_TARGET:
+            target = self.advance().text
         else:
             target = self.expect_ident("an slo target (app or an entity id)").text
-        self.expect_op("{")
+        self.expect("{")
         constraints = [self.parse_constraint()]
         while (token := self.tokens[self.pos]).type == "ident" and token.text not in KEYWORDS:
             constraints.append(self.parse_constraint())
-        self.expect_op("}")
+        self.expect("}")
         return Slo(id_token.text, target, tuple(constraints),
                    span=self.span(start, self.prev()))
 
@@ -449,42 +416,42 @@ class _Parser:
         )
 
     def parse_activity(self) -> WorkflowActivity:
-        start = self.expect_keyword("activity")
+        start = self.expect("activity")
         id_token = self.expect_ident("an activity id")
         self.declare_id(id_token)
-        self.expect_op(":")
+        self.expect(":")
         kind = self.expect_choice("name", ACTIVITY_KINDS, "an activity kind").text
-        self.expect_keyword("requires")
+        self.expect("requires")
         required = [self.expect_ident("a service id").text]
-        while self.peek().type == "op" and self.peek().text == ",":
+        while self.peek().text == ",":
             self.advance()
             required.append(self.expect_ident("a service id").text)
         return WorkflowActivity(id_token.text, kind, tuple(required),
                                 span=self.span(start, self.prev()))
 
     def parse_config_block(self) -> list[ConfigParam]:
-        self.expect_op("{")
+        self.expect("{")
         params: list[ConfigParam] = []
         while (token := self.tokens[self.pos]).type == "ident" and token.text not in KEYWORDS:
             term_token = self.expect_ident("a configuration term")
-            self.expect_op("=")
+            self.expect("=")
             value = self.parse_value()
             params.append(ConfigParam(term_token.text, value,
                                       span=self.span(term_token, self.prev())))
-        self.expect_op("}")
+        self.expect("}")
         return params
 
     def parse_owner(self, keyword: str, kinds: tuple[str, ...]) -> ServiceSpec | InfraResourceSpec:
         """A ``service`` or ``resource`` block; a service alone names the
         resource it is deployed ``on``."""
-        start = self.expect_keyword(keyword)
+        start = self.expect(keyword)
         id_token = self.expect_ident(f"a {keyword} id")
         self.declare_id(id_token)
-        self.expect_op(":")
+        self.expect(":")
         kind = self.expect_choice("name", kinds, f"a {keyword} kind").text
         deployed_on = ()
         if keyword == "service":
-            self.expect_keyword("on")
+            self.expect("on")
             deployed_on = (self.expect_ident("a resource id").text,)
         config = tuple(self.parse_config_block())
         owner = ServiceSpec if deployed_on else InfraResourceSpec

@@ -118,14 +118,12 @@ class VocabularyEntry:
     def from_dict(cls, data: dict, pointer: str = "") -> "VocabularyEntry":
         # imported here so that the builtin catalog loads without the
         # agreement language
-        from .interchange import (
-            _IDENT_RULE, _as_str, _check_keys, _want_list, _want_object, _want_str,
-        )
+        from .interchange import _IDENT_RULE, _as_str, _want_list, _want_object, _want_str
         from .parser import _is_name
 
         fields = ("term", "concept", "description", "value_type",
                   "canonical_unit", "direction", "aggregator", "kind")
-        _check_keys(_want_object(data, pointer or "/"), {*fields, "aliases"}, pointer)
+        _want_object(data, pointer, {*fields, "aliases"})
         values = {key: _want_str(data, key, pointer) for key in fields}
         aliases = tuple(
             _as_str(alias, f"{pointer}/aliases/{i}")

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Write the stdout of the demos and of the main commands on the rhms
+# Write the stdout of the demos and of the main commands on the
 # fixtures into DIR, one file each. tests/fixtures/expected holds the
 # recorded outputs; CI runs this into a fresh directory and diffs the two.
 #
@@ -23,3 +23,12 @@ python -m iotsla match "$fx/rhms.sla" "$fx/alpha.offer.json" "$fx/beta.offer.jso
 python -m iotsla monitor "$fx/rhms.sla" "$fx/spike.telemetry" --json > "$out/monitor_spike.out" \
   || test $? -eq 1
 python -m iotsla monitor "$fx/rhms.sla" "$fx/calm.telemetry" --json > "$out/monitor_calm.out"
+python -m iotsla validate "$fx/rhms.sla" --verbose > "$out/validate_rhms_verbose.out"
+# mut_v004.sla has an error diagnostic, so these exit 1
+python -m iotsla validate "$fx/mut_v004.sla" > "$out/validate_mut_v004.out" || test $? -eq 1
+python -m iotsla validate "$fx/mut_v004.sla" --json > "$out/validate_mut_v004_json.out" \
+  || test $? -eq 1
+python -m iotsla monitor "$fx/rhms.sla" "$fx/spike.telemetry" > "$out/monitor_spike_text.out" \
+  || test $? -eq 1
+python -m iotsla vocab list --json > "$out/vocab_list.out"
+python -m iotsla vocab show latency ingestion --json > "$out/vocab_show_latency.out"

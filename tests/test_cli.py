@@ -111,6 +111,8 @@ def test_vocab_list_filters(capsys):
     assert "networking:" in out and "iot_device:" not in out
     code, _, _ = run(capsys, "vocab", "list", "--concept", "weather")
     assert code == 2
+    code, out, err = run(capsys, "vocab", "list", "--kind", "bogus")
+    assert code == 2 and out == "" and "unknown term kind: bogus" in err
 
 
 def test_vocab_list_application_terms_visible(capsys):
@@ -125,6 +127,16 @@ def test_vocab_show(capsys):
     assert "lower_is_better" in out and "time_unit" in out
     code, _, _ = run(capsys, "vocab", "show", "no_such_term", "ingestion")
     assert code == 2
+
+
+def test_vocab_json_is_the_catalog_entries(capsys, catalog):
+    code, out, _ = run(capsys, "vocab", "list", "--concept", "networking",
+                       "--kind", "qos_metric", "--json")
+    assert code == 0
+    assert json.loads(out) == [
+        e.to_dict() for e in catalog.applicable_terms("networking", "qos_metric")]
+    code, out, _ = run(capsys, "vocab", "show", "latency", "ingestion", "--json")
+    assert code == 0 and json.loads(out) == catalog.lookup("latency", "ingestion").to_dict()
 
 
 def test_vocab_show_alias(capsys):
@@ -186,6 +198,14 @@ def test_match_weighted_json(capsys):
     assert by_provider["alpha"]["score"] == "1"
     assert by_provider["beta"]["score"] == "1/6"
     assert by_provider["alpha"]["rank"] == 1
+
+
+def test_match_notes_an_agreement_without_requirements(capsys):
+    # rhms.sla has no SLO on an ingestion service
+    code, out, _ = run(capsys, "match", fx("rhms.sla"), fx("alpha.offer.json"))
+    assert code == 0
+    assert out.startswith("note: the agreement has no SLO constraints on concept 'ingestion'")
+    assert out.splitlines()[-1].split() == ["1", "alpha", "1"]
 
 
 def test_match_request_must_validate(capsys):
@@ -368,6 +388,10 @@ def test_monitor_ignores_incomparable_samples(capsys, tmp_path, rhms_text):
     code, out, err = run(capsys, "monitor", str(sla), str(telemetry))
     assert code == 0 and "0 violation(s)" in out
     assert "Traceback" not in err
+    telemetry.write_text(ENCRYPTION_TELEMETRY + "6\tingest_svc\tdata_encryption_support\tfalse\n")
+    code, out, _ = run(capsys, "monitor", str(sla), str(telemetry))
+    assert code == 1
+    assert "slo=enc: data_encryption_support == true, observed false" in out
 
 
 def test_monitor_skips_values_too_long_in_total(capsys, tmp_path):

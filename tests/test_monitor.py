@@ -42,6 +42,7 @@ from iotsla.monitor import (
     monitor_document,
     parse_telemetry,
 )
+from iotsla.validator import validate
 
 from support import (
     ACCURACY_MIN,
@@ -435,6 +436,28 @@ def test_alias_metric_names_match(catalog):
     ]
     events = evaluate_window(slo, records, 60, catalog, concept="sensing")
     assert len(events) == 1
+
+
+def test_an_end_to_end_slo_spelt_with_an_alias_is_summed(rhms_text):
+    builtin = load_builtin_catalog()
+    catalog = builtin.merge([dataclasses.replace(
+        builtin.lookup("end_to_end_response_time", "application"), aliases=("e2e_time",))])
+    canonical = parse(rhms_text)
+    aliased = parse(rhms_text.replace("end_to_end_response_time <=", "e2e_time <="))
+    assert validate(aliased, catalog) == validate(canonical, catalog) == []
+    # the window [180,240) has ingestion samples only: two coverage gaps
+    records = _records("spike.telemetry") + [rec(185, "ingest_svc", "latency", 1)]
+
+    def outcome(report):
+        return ([(e.window_start, e.slo_id, e.observed) for e in report.violations],
+                report.coverage_gaps, report.skipped_records, report.slo_violation_counts)
+
+    expected = outcome(monitor_document(canonical, records, 60, catalog))
+    assert expected[0] == [(120, "app_response", TypedValue.numeric(9, "time_unit"))]
+    assert len(expected[1]) == 2
+    assert outcome(monitor_document(aliased, records, 60, catalog)) == expected
+    assert [e.observed for e in end_to_end_response(aliased, records, 60, catalog)] == [
+        TypedValue.numeric(9, "time_unit")]
 
 
 def test_overlay_aggregator_reaches_the_monitor(rhms_text):
