@@ -118,7 +118,7 @@ def _cmd_validate(args) -> int:
 
     doc, diagnostics = _validate_or_fail(args.path, _load_catalog(args.catalog))
     if args.json:
-        from .interchange import emit_json
+        from .jsonio import emit_json
 
         print(emit_json([d.to_dict() for d in diagnostics]))
     else:
@@ -131,6 +131,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_vocab(args) -> int:
+    from .jsonio import emit_json
     from .vocabulary import TERM_KINDS, VALID_CONCEPTS
 
     catalog = _load_catalog(args.catalog)
@@ -141,12 +142,8 @@ def _cmd_vocab(args) -> int:
             raise _CliFailure(2, f"unknown term kind: {args.kind}")
         concepts = [args.concept] if args.concept else list(VALID_CONCEPTS)
         if args.json:
-            from .interchange import emit_json
-
-            entries = []
-            for concept in concepts:
-                entries.extend(e.to_dict() for e in catalog.applicable_terms(concept, args.kind))
-            print(emit_json(entries))
+            print(emit_json([e.to_dict() for concept in concepts
+                             for e in catalog.applicable_terms(concept, args.kind)]))
             return 0
         for concept in concepts:
             entries = catalog.applicable_terms(concept, args.kind)
@@ -165,8 +162,6 @@ def _cmd_vocab(args) -> int:
         if entry is None:
             raise _CliFailure(2, f"no term {args.term!r} for concept {args.concept!r}")
         if args.json:
-            from .interchange import emit_json
-
             print(emit_json(entry.to_dict()))
             return 0
         print(f"term:           {entry.term}")
@@ -197,7 +192,7 @@ def _load_weights(path: str | None, requirements: list[MetricConstraint],
     ``concept``, a term some requirement names, and no two keys one term."""
     from fractions import Fraction
 
-    from .interchange import _want_object, read_json
+    from .jsonio import _pointer_key, _want_object, read_json
 
     if path is None:
         return None
@@ -205,20 +200,20 @@ def _load_weights(path: str | None, requirements: list[MetricConstraint],
     required = {catalog.lookup(c.metric, concept).term for c in requirements}
     keys: dict[str, str] = {}  # term -> the key that weighs it
     try:
-        weights = _want_object(read_json(text), "/")
+        weights = _want_object(read_json(text), "")
         for key, weight in weights.items():
+            at = f"/{_pointer_key(key)}"
             if not isinstance(weight, Fraction) or weight <= 0:
-                raise SchemaViolationError(f"/{key}", "weight must be a positive number")
+                raise SchemaViolationError(at, "weight must be a positive number")
             entry = catalog.lookup(key, concept)
             if entry is None:
-                raise SchemaViolationError(f"/{key}", f"no term or alias {key!r} "
-                                                      f"for concept {concept!r}")
+                raise SchemaViolationError(at, f"no term or alias {key!r} for concept {concept!r}")
             if entry.term not in required:
-                raise SchemaViolationError(f"/{key}", f"no requirement on {concept!r} "
-                                                      f"names {entry.term!r}")
+                raise SchemaViolationError(at, f"no requirement on {concept!r} "
+                                               f"names {entry.term!r}")
             if entry.term in keys:
-                raise SchemaViolationError(f"/{key}", f"{keys[entry.term]!r} already "
-                                                      f"weighs {entry.term!r}")
+                raise SchemaViolationError(at, f"{keys[entry.term]!r} already "
+                                               f"weighs {entry.term!r}")
             keys[entry.term] = key
     except SchemaViolationError as exc:
         raise _CliFailure(2, f"bad weights file {path}: {exc}") from None
@@ -226,7 +221,7 @@ def _load_weights(path: str | None, requirements: list[MetricConstraint],
 
 
 def _cmd_match(args) -> int:
-    from .interchange import emit_json
+    from .jsonio import emit_json
     from .matcher import load_offer, rank_offers, render_report_table
     from .model import owned_slos
 
@@ -280,6 +275,7 @@ def _cmd_match(args) -> int:
 
 def _cmd_monitor(args) -> int:
     from .constraints import decimal_str_or_fraction
+    from .jsonio import emit_json
     from .monitor import EvaluationWindow, monitor_document, parse_telemetry
 
     catalog = _load_catalog(args.catalog)
@@ -291,8 +287,6 @@ def _cmd_monitor(args) -> int:
         raise _CliFailure(2, f"{args.telemetry}: {exc}") from None
 
     report = monitor_document(doc, records, EvaluationWindow(args.window), catalog)
-    if args.json:
-        from .interchange import emit_json
 
     def value_text(value) -> str:
         if value.tag == "numeric":
@@ -450,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     except _CliFailure as failure:
         message = failure.message
         if failure.diagnostics is not None and args.json:
-            from .interchange import emit_json
+            from .jsonio import emit_json
 
             # validate --json prints its list of diagnostics on every path
             shown = failure.diagnostics
@@ -463,6 +457,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint():
+    # every input is read as UTF-8, so every output is written as UTF-8,
+    # whatever the locale or PYTHONIOENCODING say; a path that is not UTF-8
+    # goes to stdout as the bytes it came as
+    sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
+    sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     sys.exit(main())
 
 

@@ -301,6 +301,20 @@ def check_constraint_against_value(constraint, value: TypedValue, entry) -> str:
 # optional fraction, no sign, no exponent.  JSON numbers keep JSON's grammar.
 DECIMAL_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 
+# The words of the agreement language, which no name may be.
+KEYWORDS = frozenset(
+    {"sla", "party", "slo", "on", "app", "activity", "requires",
+     "service", "resource", "true", "false"}
+)
+
+_IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+
+
+def _is_name(text: str) -> bool:
+    """True for a non-keyword identifier, the only name agreement text can
+    write for an id, a term or a unit."""
+    return _IDENT_RE.match(text) is not None and text not in KEYWORDS
+
 
 # The lowest int string limit ``sys.set_int_max_str_digits`` takes, bar 0
 # for "off": a numeral with no more digits never needs the limit read.

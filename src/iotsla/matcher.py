@@ -32,7 +32,7 @@ from .constraints import (
     type_mismatch,
 )
 from .errors import SchemaViolationError, UnitMismatchError
-from .interchange import _objects, _read_typed_value, _want_object, _want_str, read_json
+from .jsonio import _objects, _read_typed_value, _want_object, _want_str, read_json
 from .model import MetricConstraint
 from .vocabulary import Catalog, VocabularyEntry, VALID_CONCEPTS
 

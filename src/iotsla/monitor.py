@@ -62,6 +62,7 @@ from .errors import (
     DomainError, EmptyWindowError, IncompatibleUnitsError, TelemetryFormatError,
     TypeMismatchError,
 )
+from .jsonio import _constraint_dict, _value_fields
 from .model import APP_TARGET, MetricConstraint, SlaDocument, Slo, owned_slos
 from .vocabulary import APPLICATION_CONCEPT, Catalog, VocabularyEntry, load_builtin_catalog
 
@@ -138,8 +139,6 @@ class ViolationEvent(namedtuple(
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        from .interchange import _constraint_dict, _value_fields
-
         observed = _value_fields(self.observed)
         return {
             "window_start": self.window_start,

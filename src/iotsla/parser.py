@@ -45,7 +45,7 @@ import re
 from datetime import date
 from typing import NamedTuple
 
-from .constraints import COMPARATORS, DECIMAL_RE, TypedValue, decimal_repr, exact_number
+from .constraints import COMPARATORS, DECIMAL_RE, KEYWORDS, TypedValue, decimal_repr, exact_number
 from .errors import ParseError
 from .model import (
     ACTIVITY_KINDS,
@@ -67,19 +67,6 @@ from .model import (
 )
 
 __all__ = ["KEYWORDS", "parse", "serialize"]
-
-KEYWORDS = frozenset(
-    {"sla", "party", "slo", "on", "app", "activity", "requires",
-     "service", "resource", "true", "false"}
-)
-
-_IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
-
-
-def _is_name(text: str) -> bool:
-    """True for a non-keyword identifier, the only name agreement text can
-    write for an id, a term or a unit."""
-    return _IDENT_RE.match(text) is not None and text not in KEYWORDS
 
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 

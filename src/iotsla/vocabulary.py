@@ -12,14 +12,16 @@ it by merging an overlay catalog on top of the builtin one.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
 from . import _catalog_data
-from .constraints import KNOWN_UNITS
+from .constraints import KNOWN_UNITS, _is_name
 from .errors import SchemaViolationError, VocabularyIntegrityError
+from .jsonio import (
+    _IDENT_RULE, _as_str, _want_list, _want_object, _want_str, emit_json, read_json,
+)
 
 __all__ = [
     "TABLE_CONCEPTS",
@@ -116,11 +118,6 @@ class VocabularyEntry:
 
     @classmethod
     def from_dict(cls, data: dict, pointer: str = "") -> "VocabularyEntry":
-        # imported here so that the builtin catalog loads without the
-        # agreement language
-        from .interchange import _IDENT_RULE, _as_str, _want_list, _want_object, _want_str
-        from .parser import _is_name
-
         fields = ("term", "concept", "description", "value_type",
                   "canonical_unit", "direction", "aggregator", "kind")
         _want_object(data, pointer, {*fields, "aliases"})
@@ -225,23 +222,18 @@ class Catalog:
             merged[(entry.term, entry.concept)] = entry
         return Catalog(merged.values())
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         """Serialize as a JSON array, sorted by (concept, term)."""
-        return json.dumps([e.to_dict() for e in self], indent=indent)
+        return emit_json([e.to_dict() for e in self])
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "Catalog":
         """Read a catalog (an overlay, say) from a JSON array of entries."""
-        from .interchange import read_json
-
         data = read_json(text)
         if not isinstance(data, list):
             raise SchemaViolationError("/", "catalog must be a JSON array")
-        entries = [
-            VocabularyEntry.from_dict(item, pointer=f"/{i}")
-            for i, item in enumerate(data)
-        ]
-        return cls(entries)
+        return cls(VocabularyEntry.from_dict(item, pointer=f"/{i}")
+                   for i, item in enumerate(data))
 
 
 def _entry(concept: str, row: tuple[str, ...], aliases: tuple[str, ...] = ()) -> VocabularyEntry:

@@ -32,3 +32,4 @@ python -m iotsla monitor "$fx/rhms.sla" "$fx/spike.telemetry" > "$out/monitor_sp
   || test $? -eq 1
 python -m iotsla vocab list --json > "$out/vocab_list.out"
 python -m iotsla vocab show latency ingestion --json > "$out/vocab_show_latency.out"
+python -m iotsla vocab export > "$out/vocab_export.out"

@@ -264,7 +264,10 @@ def test_match_takes_concepts_from_owners(capsys, monkeypatch):
 @pytest.mark.parametrize("content,where", [
     ('{"latency": 1e5000}', "too long"),
     ('{"latency": true}', "/latency: weight must be a positive number"),
-], ids=["long_number", "not_a_number"])
+    # a key is one pointer step, "/" written "~1" and "~" written "~0"
+    ('{"a/b": 5}', ": /a~1b: no term or alias 'a/b'"),
+    ('{"~/": 5}', ": /~0~1: no term or alias '~/'"),
+], ids=["long_number", "not_a_number", "slash_in_key", "tilde_in_key"])
 def test_match_weights_that_cannot_be_read(capsys, tmp_path, content, where):
     weights = tmp_path / "w.json"
     weights.write_text(content)
@@ -605,6 +608,50 @@ def test_stdin_is_read_as_utf8_whatever_its_encoding(tmp_path):
     assert by_path.returncode == by_stdin.returncode == 2
     assert by_stdin.stdout == by_path.stdout == b""
     assert by_stdin.stderr == by_path.stderr.replace(str(path).encode(), b"-")
+
+
+def _iotsla(argv, encoding=None, stdin=None):
+    """``python -m iotsla ARGV``, under PYTHONIOENCODING=``encoding`` when one
+    is given, reading the file ``stdin``: (exit code, stdout, stderr)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONIOENCODING"}
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    if encoding is not None:
+        env["PYTHONIOENCODING"] = encoding
+    with open(stdin or os.devnull, "rb") as stream:
+        done = subprocess.run([sys.executable, "-m", "iotsla", *argv], stdin=stream,
+                              capture_output=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_output_is_utf8_whatever_the_encoding(tmp_path, encoding):
+    # a stream that followed PYTHONIOENCODING would fail on these characters
+    # or write them in another encoding
+    agreement = tmp_path / "remote.sla"
+    agreement.write_text(fixture_text("rhms.sla").replace("Remote", "Rémote \U0001f600"),
+                         encoding="utf-8")
+    overlay = tmp_path / "overlay.json"
+    latency = load_builtin_catalog().lookup("latency", "ingestion").to_dict()
+    overlay.write_text(json.dumps([dict(latency, description="Latência")]))
+    missing = str(tmp_path / "fehlt-ä.sla")
+
+    code, out, err = _iotsla(["fmt", "-"], encoding, agreement)
+    assert (code, out, err) == (0, agreement.read_bytes(), b"")
+    code, out, err = _iotsla(["vocab", "export", "--catalog", str(overlay)], encoding)
+    assert code == 0 and '"description": "Latência"'.encode("utf-8") in out
+    assert out == _iotsla(["vocab", "export", "--catalog", str(overlay)], "utf-8")[1]
+    code, out, err = _iotsla(["validate", missing], encoding)
+    assert code == 2 and err.startswith(f"cannot read {missing}: ".encode("utf-8"))
+
+
+def test_a_path_that_is_not_utf8_is_written_back_as_its_bytes(tmp_path):
+    path = os.fsencode(tmp_path / "messy") + b"\xff.sla"
+    with open(path, "wb") as handle:
+        handle.write((FIXTURES / "messy.sla").read_bytes())
+    for encoding in (None, "ascii"):
+        code, out, err = _iotsla([b"fmt", b"--check", path], encoding)
+        assert (code, out, err) == (1, b"would reformat " + path + b"\n", b"")
 
 
 # --- --json on failure paths -----------------------------------------------------

@@ -114,27 +114,29 @@ def _fx(name: str) -> str:
 
 
 # Modules by their names in sys.modules less "iotsla."; "iotsla" is the
-# package.  No list holds both "matcher" and "monitor", and none for the
-# catalog alone holds "parser", "model" or "interchange".
+# package.  No list holds both "matcher" and "monitor" or holds
+# "interchange", and none for the catalog alone holds "parser" or "model".
 _FMT = ["cli", "constraints", "errors", "iotsla", "model", "parser"]
-_CATALOG = ["_catalog_data", "cli", "constraints", "errors", "iotsla", "vocabulary"]
-_VALIDATE = ["_catalog_data", "cli", "constraints", "errors", "iotsla", "model", "parser",
-             "validator", "vocabulary"]
+_CATALOG = ["_catalog_data", "cli", "constraints", "errors", "iotsla", "jsonio", "vocabulary"]
+_VALIDATE = ["_catalog_data", "cli", "constraints", "errors", "iotsla", "jsonio", "model",
+             "parser", "validator", "vocabulary"]
+# An argument the test replaces with the path of an overlay it writes.
+_OVERLAY = "OVERLAY"
 _COMMANDS = {
     "fmt --check": (["fmt", "--check", _fx("rhms.sla")], _FMT),
     "fmt --check, would reformat": (["fmt", "--check", _fx("messy.sla")], _FMT),
     "vocab export": (["vocab", "export"], _CATALOG),
+    "vocab export --catalog": (["vocab", "export", "--catalog", _OVERLAY], _CATALOG),
     "vocab show": (["vocab", "show", "latency", "ingestion"], _CATALOG),
-    "vocab list --json": (["vocab", "list", "--json"],
-                          _CATALOG + ["interchange", "model", "parser"]),
+    "vocab list --json": (["vocab", "list", "--json"], _CATALOG),
     "validate": (["validate", _fx("rhms.sla")], _VALIDATE),
-    "validate --json": (["validate", _fx("rhms.sla"), "--json"], _VALIDATE + ["interchange"]),
+    "validate --json": (["validate", _fx("rhms.sla"), "--json"], _VALIDATE),
     "match": (["match", _fx("procure.sla"), _fx("alpha.offer.json"), _fx("beta.offer.json"),
                "--weights", _fx("weights.json"), "--json"],
-              _VALIDATE + ["interchange", "matcher"]),
+              _VALIDATE + ["matcher"]),
     "monitor": (["monitor", _fx("rhms.sla"), _fx("spike.telemetry")], _VALIDATE + ["monitor"]),
     "monitor --json": (["monitor", _fx("rhms.sla"), _fx("spike.telemetry"), "--json"],
-                       _VALIDATE + ["interchange", "monitor"]),
+                       _VALIDATE + ["monitor"]),
 }
 
 
@@ -149,6 +151,12 @@ def test_a_name_loads_only_its_module(use):
 
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
-def test_each_command_imports_only_what_it_runs(command):
+def test_each_command_imports_only_what_it_runs(command, tmp_path):
     args, expected = _COMMANDS[command]
+    if _OVERLAY in args:  # one entry, replaced, with a non-ASCII description
+        entry = dict(iotsla.load_builtin_catalog().lookup("latency", "ingestion").to_dict(),
+                     description="Latência de ingestão", aliases=["lag"])
+        overlay = tmp_path / "overlay.json"
+        overlay.write_text(json.dumps([entry]), encoding="utf-8")
+        args = [str(overlay) if arg == _OVERLAY else arg for arg in args]
     assert _loaded(_RUN_COMMAND, *args) == sorted(expected)

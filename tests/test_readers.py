@@ -213,3 +213,24 @@ def test_surrogate_pairs_are_kept():
 
 if __name__ == "__main__":
     _child(sys.argv[1])
+
+
+# Pointers: a key from the input is one RFC 6901 step, "~" written "~0" and
+# "/" written "~1".  The root is written "/", so the key "" is too.
+
+@pytest.mark.parametrize("key,step", [("a/b", "a~1b"), ("~", "~0"), ("~1", "~01"),
+                                      ("/~/", "~1~0~1"), ("é", "é"), ("", "")])
+@pytest.mark.parametrize("reader,where", [
+    ("from_interchange", ""),
+    ("from_interchange", "/services/1/slos/0/constraints/0"),
+    ("load_offer", ""),
+    ("load_offer", "/capabilities/0"),
+    ("Catalog.from_json", "/0"),
+])
+def test_pointers_escape_keys(reader, where, key, step):
+    data = _reader_input(reader)
+    path = [int(part) if part.isdigit() else part for part in where.split("/")[1:]]
+    functools.reduce(operator.getitem, path, data)[key] = 1
+    with pytest.raises(SchemaViolationError) as info:
+        READ[reader](json.dumps(data))
+    assert (info.value.pointer, info.value.message) == (f"{where}/{step}", "unknown field")

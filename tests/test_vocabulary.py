@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from iotsla import (
     Catalog,
@@ -155,6 +156,36 @@ def test_catalog_json_round_trip(catalog):
     data = json.loads(text)
     keys = [(e["concept"], e["term"]) for e in data]
     assert keys == sorted(keys)
+
+
+def _stdlib_json(catalog):
+    # the writer to_json used before, keeping text as it is
+    return json.dumps([e.to_dict() for e in catalog], indent=2, ensure_ascii=False)
+
+
+# Descriptions and aliases past ASCII: DEL, Latin-1, the astral plane.
+_TEXT = st.text(st.characters() | st.sampled_from(["\x7f", "é", "\U0001f600", "\U0010fffd"]),
+                max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(_TEXT, st.lists(_TEXT, max_size=3)), max_size=5),
+       over_builtin=st.booleans())
+@example(rows=[], over_builtin=True)  # the builtin catalog
+@example(rows=[], over_builtin=False)  # the empty one
+def test_to_json_writes_what_the_stdlib_writes(rows, over_builtin):
+    # Catalog itself does not check names, so aliases may hold any text; the
+    # "#" keeps them apart from every term and from each other
+    catalog = Catalog(
+        VocabularyEntry(term=f"t{i}", concept=VALID_CONCEPTS[i % len(VALID_CONCEPTS)],
+                        description=description, value_type="numeric",
+                        canonical_unit="ms", direction="lower_is_better",
+                        aggregator="max", kind="qos_metric",
+                        aliases=tuple(f"{alias}#{i}.{j}" for j, alias in enumerate(aliases)))
+        for i, (description, aliases) in enumerate(rows))
+    if over_builtin:
+        catalog = load_builtin_catalog().merge(catalog)
+    assert catalog.to_json() == _stdlib_json(catalog)
 
 
 def test_from_json_rejects_malformed():
