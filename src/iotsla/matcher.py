@@ -32,7 +32,9 @@ from .constraints import (
     type_mismatch,
 )
 from .errors import SchemaViolationError, UnitMismatchError
-from .jsonio import _objects, _read_typed_value, _want_object, _want_str, read_json
+from .jsonio import (
+    _objects, _read_choice, _read_typed_value, _want_object, _want_str, read_json,
+)
 from .model import MetricConstraint
 from .vocabulary import Catalog, VocabularyEntry, VALID_CONCEPTS
 
@@ -247,11 +249,7 @@ def load_offer(text: str | bytes, catalog: Catalog) -> ProviderOffer:
     provider_id = _want_str(data, "provider_id", "")
     if not provider_id:
         raise SchemaViolationError("/provider_id", "must be a non-empty string")
-    concept = _want_str(data, "concept", "")
-    if concept not in VALID_CONCEPTS:
-        raise SchemaViolationError(
-            "/concept", f"must be one of {', '.join(VALID_CONCEPTS)}"
-        )
+    concept = _read_choice(data, "concept", "", VALID_CONCEPTS)
 
     capabilities: dict[str, TypedValue] = {}
     for pointer, item in _objects(data, "capabilities", "", {"metric", "value", "unit"}):

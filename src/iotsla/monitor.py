@@ -12,12 +12,13 @@ constraints watching it, with each numeric bound in canonical units.  Each
 record is resolved by dictionary lookup, put into canonical units at most
 once (one factor per unit pair and call) and folded into one exact
 accumulator per (target, term, window); time-family samples also update
-each requiring activity's per-window maximum.  An application constraint
-whose term resolves, under any alias, to end-to-end response time is
-checked against the sum of those maxima.  Constraints are checked
-afterwards, once per window with samples: O(records + windows ×
-constraints).  The accumulators merge in any order, so results do not
-depend on record order.
+each requiring activity's per-window maximum.  In a document, a numeric
+application constraint whose term resolves, under any alias, to
+end-to-end response time is checked against the sum of those maxima,
+written as the window's one sample of that constraint; any other term is
+sampled.  Constraints are checked afterwards, in one loop, once per window
+with samples: O(records + windows × constraints).  The accumulators merge
+in any order, so results do not depend on record order.
 
 Records keep exact Fractions, and the fold reads each as its integer
 (numerator, denominator) pair.  Samples, bounds and window aggregates are
@@ -50,7 +51,6 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
 from math import lcm
 from typing import Callable, Iterable
 
@@ -265,37 +265,54 @@ def _as_window(window: EvaluationWindow | int | None) -> EvaluationWindow:
         60 if window is None else window)
 
 
+# The watchers' key, in a document index, for the app home's numeric
+# constraints on end-to-end response time: no record routes to it, as every
+# catalog term is a name.
+_SUMMED = (APP_TARGET, None)
+
+
 class _Index:
     """Routes for records and the constraints watching them, built once.
 
     ``homes``: record target -> (home target, concept), one home for ``app``
     and the document id; ``watchers``: (home, term) -> [(position, slo,
-    constraint, entry, bound)] in declaration order, where ``bound`` is
-    :func:`_canonical_bound`'s; ``e2e``: such tuples for the app home's
-    constraints whose term, under any alias, is end-to-end response time,
-    which a document index sums from the activities (None in any other
-    index, which samples the term like any other); ``members``: service ->
-    positions of the activities requiring it, filled only for ``e2e``.
+    constraint, entry, bound)] in declaration order, where ``position``
+    numbers every constraint of the attached SLOs in ``owned`` and
+    ``bound`` is :func:`_canonical_bound`'s.  Given ``doc``, the app home's
+    numeric constraints whose term, under any alias, is end-to-end response
+    time are filed under ``_SUMMED``, to be checked against the sum of the
+    activities' maxima; any other index samples the term like any other.
+    ``members``: service -> positions of the activities requiring it,
+    filled only for ``_SUMMED``.
     """
 
-    def __init__(self, catalog: Catalog, homes: dict[str, tuple[str, str]]):
+    def __init__(self, catalog: Catalog, homes: dict[str, tuple[str, str]],
+                 owned: Iterable[tuple[str | None, str | None, Slo]],
+                 doc: SlaDocument | None = None):
         self.catalog, self.homes = catalog, homes
-        self.watchers: dict[tuple[str, str], list] = {}
-        self.e2e: list | None = None
+        self.watchers: dict[tuple[str, str | None], list] = {}
+        constraints = ((home, concept, slo, constraint) for home, concept, slo in owned
+                       if concept is not None  # None: an unattached SLO
+                       for constraint in slo.constraints)
+        for position, (home, concept, slo, constraint) in enumerate(constraints):
+            entry = catalog.lookup(constraint.metric, concept)
+            if entry is None:
+                continue
+            key = (home, entry.term)
+            if (doc is not None and key == (APP_TARGET, _E2E_METRIC)
+                    and entry.value_type == "numeric"):
+                key = _SUMMED
+            self.watchers.setdefault(key, []).append(
+                (position, slo, constraint, entry, _canonical_bound(constraint, entry)))
         self.activities: tuple[str, ...] = ()
         self.members: dict[str, list[int]] = {}
-        self.positions = count()
-
-    def watch(self, home: str, concept: str, slo: Slo, constraint: MetricConstraint):
-        position = next(self.positions)
-        entry = self.catalog.lookup(constraint.metric, concept)
-        if entry is None:
-            return
-        if self.e2e is not None and (home, entry.term) == (APP_TARGET, _E2E_METRIC):
-            watchers = self.e2e
-        else:
-            watchers = self.watchers.setdefault((home, entry.term), [])
-        watchers.append((position, slo, constraint, entry, _canonical_bound(constraint, entry)))
+        if _SUMMED in self.watchers:
+            self.activities = tuple(a.id for a in doc.activities)
+            declared = {s.id for s in doc.services}
+            for position, activity in enumerate(doc.activities):
+                for ref in dict.fromkeys(activity.required_services):
+                    if ref in declared:
+                        self.members.setdefault(ref, []).append(position)
 
     def route(self, target_id: str, metric: str):
         """(entry, watched key or None, activity positions); None if unknown."""
@@ -327,20 +344,7 @@ def _document_index(doc: SlaDocument, catalog: Catalog) -> _Index:
     homes = {r.id: (r.id, r.kind) for r in doc.resources}
     homes.update((s.id, (s.id, s.kind)) for s in doc.services)
     homes[doc.id] = homes[APP_TARGET] = (APP_TARGET, APPLICATION_CONCEPT)
-    index = _Index(catalog, homes)
-    index.e2e = []
-    for home, concept, slo in owned_slos(doc):
-        if concept is not None:  # None: an unattached SLO
-            for constraint in slo.constraints:
-                index.watch(home, concept, slo, constraint)
-    if index.e2e:
-        index.activities = tuple(a.id for a in doc.activities)
-        declared = {s.id for s in doc.services}
-        for position, activity in enumerate(doc.activities):
-            for ref in dict.fromkeys(activity.required_services):
-                if ref in declared:
-                    index.members.setdefault(ref, []).append(position)
-    return index
+    return _Index(catalog, homes, owned_slos(doc), doc)
 
 
 def _accumulate(states: dict, key: tuple, entry: VocabularyEntry, value: TypedValue,
@@ -414,7 +418,7 @@ def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationW
     routes: dict[tuple[str, str], tuple | None] = {}  # (target id, metric) -> route
     # (unit, canonical unit) -> factor as (num, den)
     factors: dict[tuple[str, str], tuple[int, int] | None] = {}
-    states: dict[tuple[str, str, int], list | dict] = {}  # (home, term, window) -> state
+    states: dict[tuple[str, str | None, int], list | dict] = {}  # (home, term, window) -> state
     # window -> per-activity maximum as (num, den)
     maxima: dict[int, list[tuple[int, int] | None]] = {}
     seen = skipped = 0
@@ -453,6 +457,20 @@ def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationW
                 if peak is None or num * peak[1] > peak[0] * den:
                     peaks[position] = sample
 
+    # End to end, a window's figure is the sum of the activities' maxima,
+    # num/den again, checked as the one sample of the _SUMMED key.
+    gaps = []
+    for slot in sorted(maxima):
+        start, end = window.bounds(slot)
+        gaps += [CoverageGap(start, end, activity_id,
+                             f"no time samples for activity '{activity_id}' in this window")
+                 for activity_id, peak in zip(index.activities, maxima[slot]) if peak is None]
+        num, den = 0, 1
+        for peak in maxima[slot]:
+            if peak is not None:
+                num, den = _plus(num, den, *peak)
+        states[(*_SUMMED, slot)] = [num, den, 1, 0, 0]
+
     # A numeric window's aggregate is num/den with den > 0, checked by _breach.
     events = []
     for (home, term, slot), state in states.items():
@@ -471,24 +489,6 @@ def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationW
             if culprit is not None:
                 event = ViolationEvent(*window.bounds(slot), slo.id, constraint, culprit)
                 events.append((slot, position, event))
-
-    # End to end, the window's figure is the sum of the activities' maxima,
-    # num/den again, checked the same way.
-    gaps = []
-    for slot in sorted(maxima):
-        start, end = window.bounds(slot)
-        gaps += [CoverageGap(start, end, activity_id,
-                             f"no time samples for activity '{activity_id}' in this window")
-                 for activity_id, peak in zip(index.activities, maxima[slot]) if peak is None]
-        num, den = 0, 1
-        for peak in maxima[slot]:
-            if peak is not None:
-                num, den = _plus(num, den, *peak)
-        for position, slo, constraint, entry, bound in index.e2e:
-            observed = _breach(constraint, entry, bound, num, den)
-            if observed is not None:
-                events.append((slot, position, ViolationEvent(start, end, slo.id, constraint,
-                                                              observed)))
     events.sort(key=lambda item: item[:2])
     return [event for _, _, event in events], gaps, seen, skipped
 
@@ -522,9 +522,8 @@ def evaluate_window(
             raise ValueError("concept is required for SLOs on a service or resource")
         concept = APPLICATION_CONCEPT
     targets = {slo.target} if target_ids is None else target_ids
-    index = _Index(catalog, {target: (slo.target, concept) for target in targets})
-    for constraint in slo.constraints:
-        index.watch(slo.target, concept, slo, constraint)
+    index = _Index(catalog, {target: (slo.target, concept) for target in targets},
+                   [(slo.target, concept, slo)])
     events = _fold(index, records, _as_window(window))[0]
     return sorted(events, key=lambda e: (e.window_start, e.constraint.metric))
 
@@ -591,10 +590,11 @@ def end_to_end_response(
     declaration order) of the maximum time-family sample among that
     activity's services.  An activity with no samples in a window
     contributes 0 and reports a coverage gap.  Windows with no time-family
-    samples anywhere are skipped entirely.
+    samples anywhere are skipped entirely.  Only a numeric term is summed;
+    :func:`monitor_document` samples any other.
     """
     index = _document_index(doc, catalog)
-    index.watchers.clear()
+    index.watchers = {key: w for key, w in index.watchers.items() if key == _SUMMED}
     events, gaps, _, _ = _fold(index, records, _as_window(window))
     for gap in gaps if on_coverage_gap is not None else ():
         on_coverage_gap(gap)

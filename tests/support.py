@@ -94,6 +94,28 @@ ENCRYPTION_SLO = "slo enc on ingest_svc {\n  data_encryption_support == true\n}"
 ENCRYPTION_TELEMETRY = "5\tingest_svc\tdata_encryption_support\tyes\n"
 
 
+# Overlay entry: application ``end_to_end_response_time`` as a text term,
+# which the monitor samples like any other instead of summing it from the
+# activities.
+E2E_TEXT = {
+    "term": "end_to_end_response_time", "concept": "application",
+    "description": "how the response felt", "value_type": "text",
+    "canonical_unit": "dimensionless", "direction": "none", "aggregator": "none",
+    "kind": "qos_metric",
+}
+
+# One window in which the three activities' time samples sum to 12, and one
+# sampled end-to-end word that breaks ``== "fast"``.
+E2E_TEXT_TELEMETRY = ("0\thb_sensing\tdata_freshness\t4 time_unit\n10\tingest_svc\tlatency\t4\n"
+                      "20\tstream_svc\tlatency\t4\n30\tapp\tend_to_end_response_time\tslow\n")
+
+
+def with_text_e2e_bound(sla_text: str) -> str:
+    """The agreement with its end-to-end bound replaced by ``== "fast"``."""
+    return sla_text.replace("end_to_end_response_time <= 5 time_unit",
+                            'end_to_end_response_time == "fast"')
+
+
 # --- independent matcher oracle ---------------------------------------------
 
 def oracle_witnesses(direction: str, bound: Fraction, x: Fraction) -> list[Fraction]:

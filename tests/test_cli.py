@@ -30,12 +30,15 @@ from iotsla.interchange import emit_json
 from support import (
     ACCURACY_MIN,
     ACCURACY_TELEMETRY,
+    E2E_TEXT,
+    E2E_TEXT_TELEMETRY,
     ENCRYPTION_SLO,
     ENCRYPTION_TELEMETRY,
     FIXTURES,
     fixture_text,
     with_accuracy_slo,
     with_slo,
+    with_text_e2e_bound,
 )
 
 
@@ -381,6 +384,21 @@ def test_monitor_uses_catalog_overlay(capsys, tmp_path, rhms_text):
     events = [json.loads(chunk) for chunk in _ndjson_chunks(out)]
     assert events[-1]["summary"]["violations"] == 1
     assert (events[0]["slo_id"], events[0]["observed"]) == ("app_accuracy", 80)
+
+
+def test_monitor_samples_a_text_end_to_end_term(capsys, tmp_path, rhms_text):
+    sla = tmp_path / "fast.sla"
+    sla.write_text(with_text_e2e_bound(rhms_text))
+    telemetry = tmp_path / "fast.telemetry"
+    telemetry.write_text(E2E_TEXT_TELEMETRY)
+    overlay = tmp_path / "overlay.json"
+    overlay.write_text(json.dumps([E2E_TEXT]))
+    assert run(capsys, "validate", str(sla), "--catalog", str(overlay))[0] == 0
+    code, out, err = run(capsys, "monitor", str(sla), str(telemetry), "--catalog", str(overlay))
+    assert code == 1 and "Traceback" not in err
+    assert "violation [0,60) slo=app_response: end_to_end_response_time == fast, " \
+           "observed slow" in out
+    assert "checked 4 records: 1 violation(s)" in out
 
 
 def test_monitor_ignores_incomparable_samples(capsys, tmp_path, rhms_text):

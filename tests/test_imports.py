@@ -86,13 +86,13 @@ def test_a_patched_function_is_what_the_package_returns(monkeypatch):
 # --- what each process imports ------------------------------------------------------
 
 # Runs the command through cli.main with its output swallowed, then prints
-# the iotsla modules loaded.
+# its exit code beside the iotsla modules loaded.
 _RUN_COMMAND = """
 import contextlib, io, json, sys
 from iotsla import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    cli.main(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "iotsla")))
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "iotsla")]))
 """
 
 _LOADED = """
@@ -102,11 +102,20 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "iotsla")))
 """
 
 
-def _loaded(code: str, *args: str) -> list[str]:
+def _run(code: str, *args: str):
+    """The JSON value the script prints."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=SRC.parent,
                           capture_output=True, text=True, timeout=60, check=True)
-    return sorted(name.removeprefix("iotsla.") for name in json.loads(proc.stdout))
+    return json.loads(proc.stdout)
+
+
+def _names(modules: list[str]) -> list[str]:
+    return sorted(name.removeprefix("iotsla.") for name in modules)
+
+
+def _loaded(code: str, *args: str) -> list[str]:
+    return _names(_run(code, *args))
 
 
 def _fx(name: str) -> str:
@@ -122,21 +131,24 @@ _VALIDATE = ["_catalog_data", "cli", "constraints", "errors", "iotsla", "jsonio"
              "parser", "validator", "vocabulary"]
 # An argument the test replaces with the path of an overlay it writes.
 _OVERLAY = "OVERLAY"
+# Each command's arguments, exit code and modules.
 _COMMANDS = {
-    "fmt --check": (["fmt", "--check", _fx("rhms.sla")], _FMT),
-    "fmt --check, would reformat": (["fmt", "--check", _fx("messy.sla")], _FMT),
-    "vocab export": (["vocab", "export"], _CATALOG),
-    "vocab export --catalog": (["vocab", "export", "--catalog", _OVERLAY], _CATALOG),
-    "vocab show": (["vocab", "show", "latency", "ingestion"], _CATALOG),
-    "vocab list --json": (["vocab", "list", "--json"], _CATALOG),
-    "validate": (["validate", _fx("rhms.sla")], _VALIDATE),
-    "validate --json": (["validate", _fx("rhms.sla"), "--json"], _VALIDATE),
+    "fmt --check": (["fmt", "--check", _fx("rhms.sla")], 0, _FMT),
+    "fmt --check, would reformat": (["fmt", "--check", _fx("messy.sla")], 1, _FMT),
+    "vocab export": (["vocab", "export"], 0, _CATALOG),
+    "vocab export --catalog": (["vocab", "export", "--catalog", _OVERLAY], 0, _CATALOG),
+    "vocab show": (["vocab", "show", "latency", "ingestion"], 0, _CATALOG),
+    "vocab list --json": (["vocab", "list", "--json"], 0, _CATALOG),
+    "validate": (["validate", _fx("rhms.sla")], 0, _VALIDATE),
+    "validate --json": (["validate", _fx("rhms.sla"), "--json"], 0, _VALIDATE),
     "match": (["match", _fx("procure.sla"), _fx("alpha.offer.json"), _fx("beta.offer.json"),
                "--weights", _fx("weights.json"), "--json"],
-              _VALIDATE + ["matcher"]),
-    "monitor": (["monitor", _fx("rhms.sla"), _fx("spike.telemetry")], _VALIDATE + ["monitor"]),
+              0, _VALIDATE + ["matcher"]),
+    # spike.telemetry breaches the agreement
+    "monitor": (["monitor", _fx("rhms.sla"), _fx("spike.telemetry")], 1,
+                _VALIDATE + ["monitor"]),
     "monitor --json": (["monitor", _fx("rhms.sla"), _fx("spike.telemetry"), "--json"],
-                       _VALIDATE + ["monitor"]),
+                       1, _VALIDATE + ["monitor"]),
 }
 
 
@@ -152,11 +164,13 @@ def test_a_name_loads_only_its_module(use):
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_each_command_imports_only_what_it_runs(command, tmp_path):
-    args, expected = _COMMANDS[command]
+    args, expected_code, expected = _COMMANDS[command]
     if _OVERLAY in args:  # one entry, replaced, with a non-ASCII description
         entry = dict(iotsla.load_builtin_catalog().lookup("latency", "ingestion").to_dict(),
                      description="Latência de ingestão", aliases=["lag"])
         overlay = tmp_path / "overlay.json"
         overlay.write_text(json.dumps([entry]), encoding="utf-8")
         args = [str(overlay) if arg == _OVERLAY else arg for arg in args]
-    assert _loaded(_RUN_COMMAND, *args) == sorted(expected)
+    exit_code, modules = _run(_RUN_COMMAND, *args)
+    assert exit_code == expected_code
+    assert _names(modules) == sorted(expected)

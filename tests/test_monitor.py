@@ -47,11 +47,14 @@ from iotsla.validator import validate
 from support import (
     ACCURACY_MIN,
     ACCURACY_TELEMETRY,
+    E2E_TEXT,
+    E2E_TEXT_TELEMETRY,
     ENCRYPTION_SLO,
     ENCRYPTION_TELEMETRY,
     fixture_text,
     with_accuracy_slo,
     with_slo,
+    with_text_e2e_bound,
 )
 
 
@@ -458,6 +461,27 @@ def test_an_end_to_end_slo_spelt_with_an_alias_is_summed(rhms_text):
     assert outcome(monitor_document(aliased, records, 60, catalog)) == expected
     assert [e.observed for e in end_to_end_response(aliased, records, 60, catalog)] == [
         TypedValue.numeric(9, "time_unit")]
+
+
+def test_a_text_end_to_end_term_is_sampled_not_summed(rhms_text):
+    catalog = load_builtin_catalog().merge([VocabularyEntry.from_dict(E2E_TEXT)])
+    doc = parse(with_text_e2e_bound(rhms_text))
+    assert validate(doc, catalog) == []
+    records, _ = parse_telemetry(E2E_TEXT_TELEMETRY)
+    report = monitor_document(doc, records, 60, catalog)
+    # the activities' time samples sum to 12, but a text term is sampled, not summed
+    assert [(e.window_start, e.slo_id, e.observed) for e in report.violations] == [
+        (0, "app_response", TypedValue.text("slow"))]
+    assert report.coverage_gaps == [] and report.skipped_records == 0
+    assert end_to_end_response(doc, records, 60, catalog) == []
+
+
+def test_a_document_without_activities_does_not_sample_its_end_to_end_term(rhms_doc, catalog):
+    doc = dataclasses.replace(rhms_doc, activities=())
+    records = [rec(0, "app", "end_to_end_response_time", 99, "time_unit")]
+    report = monitor_document(doc, records, 60, catalog)
+    assert report.violations == [] and report.skipped_records == 0
+    assert end_to_end_response(doc, records, 60, catalog) == []
 
 
 def test_overlay_aggregator_reaches_the_monitor(rhms_text):

@@ -23,13 +23,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iotsla import (
+    VALID_CONCEPTS,
     Catalog,
     SchemaViolationError,
     SlaError,
+    evaluate_window,
     from_interchange,
     load_builtin_catalog,
     load_offer,
     parse,
+    rank_offers,
     serialize,
     to_interchange,
 )
@@ -234,3 +237,55 @@ def test_pointers_escape_keys(reader, where, key, step):
     with pytest.raises(SchemaViolationError) as info:
         READ[reader](json.dumps(data))
     assert (info.value.pointer, info.value.message) == (f"{where}/{step}", "unknown field")
+
+
+# Refusals: a reader's input with the value at one pointer replaced, and
+# the (pointer, message) it gives; or an API call and its ValueError.
+
+_C = "/app_slos/0/constraints"
+_RS = "/activities/0/required_services"
+_NOT_A_VALUE = "must be a number, boolean, or string"
+
+
+def _ingest_terms():
+    return [c for service in parse(fixture_text("procure.sla")).services
+            for slo in service.slos for c in slo.constraints]
+
+
+_API = {
+    "evaluate_window": lambda: evaluate_window(
+        parse(fixture_text("rhms.sla")).services[1].slos[0], [], 60, load_builtin_catalog()),
+    "rank_offers": lambda: rank_offers(
+        _ingest_terms(), [load_offer(fixture_text("alpha.offer.json"), load_builtin_catalog())],
+        {"latency": 0}, load_builtin_catalog()),
+}
+
+
+@pytest.mark.parametrize("reader,where,value,pointer,message", [
+    ("from_interchange", _C, [], _C, "must not be empty"),
+    ("from_interchange", _RS, [], _RS, "must not be empty"),
+    ("from_interchange", f"{_RS}/0", "Bad", f"{_RS}/0", "must be an identifier"),
+    ("from_interchange", f"{_RS}/0", 3, f"{_RS}/0", "must be an identifier"),
+    ("from_interchange", "/parties", {}, "/parties", "must be an array"),
+    ("from_interchange", f"{_C}/0/value", True, f"{_C}/0/unit", "booleans carry no unit"),
+    ("from_interchange", f"{_C}/0/value", "fast", f"{_C}/0/unit", "text values carry no unit"),
+    ("from_interchange", f"{_C}/0/value", None, f"{_C}/0/value", _NOT_A_VALUE),
+    ("from_interchange", f"{_C}/0/value", [1], f"{_C}/0/value", _NOT_A_VALUE),
+    ("load_offer", "/provider_id", "", "/provider_id", "must be a non-empty string"),
+    ("load_offer", "/concept", "bogus", "/concept", f"must be one of {', '.join(VALID_CONCEPTS)}"),
+    ("evaluate_window", None, None, None,
+     "concept is required for SLOs on a service or resource"),
+    ("rank_offers", None, None, None, "weight for 'latency' must be positive"),
+])
+def test_each_refusal_names_its_place(reader, where, value, pointer, message):
+    if reader in _API:
+        with pytest.raises(ValueError) as info:
+            _API[reader]()
+        assert str(info.value) == message
+        return
+    data = _reader_input(reader)
+    *path, key = [int(part) if part.isdigit() else part for part in where[1:].split("/")]
+    functools.reduce(operator.getitem, path, data)[key] = value
+    with pytest.raises(SchemaViolationError) as info:
+        READ[reader](json.dumps(data))
+    assert (info.value.pointer, info.value.message) == (pointer, message)
