@@ -277,6 +277,7 @@ def _cmd_monitor(args) -> int:
     from .constraints import decimal_str_or_fraction
     from .jsonio import emit_json
     from .monitor import EvaluationWindow, monitor_document, parse_telemetry
+    from .parser import _format_value
 
     catalog = _load_catalog(args.catalog)
     doc, _ = _validate_or_fail(args.sla, catalog)
@@ -288,12 +289,6 @@ def _cmd_monitor(args) -> int:
 
     report = monitor_document(doc, records, EvaluationWindow(args.window), catalog)
 
-    def value_text(value) -> str:
-        if value.tag == "numeric":
-            text = decimal_str_or_fraction(value.magnitude)
-            return f"{text} {value.unit}" if value.unit else text
-        return str(value.value).lower() if value.tag == "boolean" else str(value.value)
-
     def window_text(item) -> str:  # bounds may pass Python's int string limit
         bounds = map(decimal_str_or_fraction, (item.window_start, item.window_end))
         return "[{},{}) ".format(*bounds)
@@ -303,10 +298,10 @@ def _cmd_monitor(args) -> int:
             print(emit_json(event.to_dict()))
         else:
             c = event.constraint
-            print(
-                f"violation {window_text(event)}slo={event.slo_id}: {c.metric} {c.comparator} "
-                f"{value_text(c.value)}, observed {value_text(event.observed)}"
-            )
+            bound, observed = (_format_value(value, number=decimal_str_or_fraction)
+                               for value in (c.value, event.observed))
+            print(f"violation {window_text(event)}slo={event.slo_id}: {c.metric} {c.comparator} "
+                  f"{bound}, observed {observed}")
 
     for gap in report.coverage_gaps:
         where = window_text(gap) if gap.window_start is not None else ""

@@ -40,6 +40,7 @@ __all__ = [
     "convert",
     "normalize_unit",
     "type_mismatch",
+    "canonical_bound",
     "check_constraint_against_value",
     "decimal_repr",
 ]
@@ -272,27 +273,44 @@ def type_mismatch(entry, metric: str, comparator: str, value: TypedValue) -> str
     return None
 
 
+def canonical_bound(constraint, entry) -> Fraction | None:
+    """A numeric term's bound in ``entry``'s canonical unit, None for other
+    terms.
+
+    The one bound rule of the checker, the monitor and the matcher: a
+    bound that does not fit the term's value type raises
+    :class:`TypeMismatchError` with the reason :func:`type_mismatch` gives,
+    and one in another unit family raises :class:`UnitMismatchError`.
+    """
+    reason = type_mismatch(entry, constraint.metric, constraint.comparator, constraint.value)
+    if reason is not None:
+        raise TypeMismatchError(reason)
+    if entry.value_type != "numeric":
+        return None
+    return to_canonical(constraint.value, entry, "constraint")
+
+
 def check_constraint_against_value(constraint, value: TypedValue, entry) -> str:
     """Evaluate one constraint against one observed value.
 
     ``constraint`` is a :class:`iotsla.model.MetricConstraint`; ``entry`` is
     the :class:`iotsla.vocabulary.VocabularyEntry` the metric resolves to.
     Returns ``SATISFIED`` or ``VIOLATED``.  Never returns ``UNSPECIFIED``:
-    absence of data is the caller's concern.  A bound, then a value, that
-    does not fit the term raises :class:`TypeMismatchError` with the
-    reason :func:`type_mismatch` gives.
+    absence of data is the caller's concern.  The whole bound is checked
+    first, by :func:`canonical_bound`; a value that does not fit the term
+    then raises :class:`TypeMismatchError` with the reason
+    :func:`type_mismatch` gives.
     """
     if not entry.matches_term(constraint.metric):
         raise ValueError(
             f"constraint metric {constraint.metric!r} does not name entry {entry.term!r}"
         )
-    for checked in (constraint.value, value):
-        reason = type_mismatch(entry, constraint.metric, constraint.comparator, checked)
-        if reason is not None:
-            raise TypeMismatchError(reason)
-    if entry.value_type != "numeric":
+    want = canonical_bound(constraint, entry)
+    reason = type_mismatch(entry, constraint.metric, constraint.comparator, value)
+    if reason is not None:
+        raise TypeMismatchError(reason)
+    if want is None:
         return SATISFIED if value.value == constraint.value.value else VIOLATED
-    want = to_canonical(constraint.value, entry, "constraint")
     got = to_canonical(value, entry, "observed value")
     return SATISFIED if _compare(constraint.comparator, got, want) else VIOLATED
 

@@ -26,6 +26,7 @@ from .constraints import (
     VIOLATED,
     TypedValue,
     _compare,
+    canonical_bound,
     check_constraint_against_value,
     decimal_str_or_fraction,
     to_canonical,
@@ -83,90 +84,84 @@ class MatchReport:
 _ZERO = Fraction(0)
 
 
-def _delivered_interval(
-    bound: Fraction, entry: VocabularyEntry
-) -> tuple[Fraction, Fraction | None]:
-    """Range of values the provider may deliver, as (lo, hi); hi None = unbounded.
+def _guaranteed(comparator: str, bound: Fraction, threshold: Fraction,
+                entry: VocabularyEntry) -> bool:
+    """Does every value the provider may deliver under ``bound`` satisfy
+    ``value <comparator> threshold``?
 
     Metric magnitudes in this model are non-negative (the source grammar
-    cannot express a sign), so a lower_is_better bound spans [0, bound].
+    cannot express a sign), so a lower_is_better bound delivers [0, bound],
+    a higher_is_better one [bound, unbounded), and any other exactly the
+    bound.  The deciding edge decides: the lowest value ``lo`` for ``>`` and
+    ``>=``, else the highest, which must be bounded, and for ``==`` must
+    equal ``lo``.
     """
-    if entry.direction == "lower_is_better":
-        return (_ZERO, bound)
-    if entry.direction == "higher_is_better":
-        return (bound, None)
-    # target_equality / none: the bound is exactly what is delivered
-    return (bound, bound)
-
-
-def _interval_satisfies(
-    comparator: str, lo: Fraction, hi: Fraction | None, threshold: Fraction
-) -> bool:
-    """Does every value in [lo, hi] satisfy ``value <comparator> threshold``?
-    The deciding edge does: ``lo`` for ``>`` and ``>=``, else ``hi``, which
-    must be bounded, and for ``==`` must equal ``lo``."""
+    lo = _ZERO if entry.direction == "lower_is_better" else bound
     if comparator in (">", ">="):
         return _compare(comparator, lo, threshold)
-    return hi is not None and (comparator != "==" or lo == hi) and _compare(
-        comparator, hi, threshold)
+    return (entry.direction != "higher_is_better" and (comparator != "==" or lo == bound)
+            and _compare(comparator, bound, threshold))
 
 
-def satisfies_capability(
-    constraint: MetricConstraint, offer: ProviderOffer, catalog: Catalog
-) -> str:
+def _resolve(
+    constraint: MetricConstraint, concept: str, catalog: Catalog
+) -> tuple[VocabularyEntry, tuple[str, ...], Fraction | None]:
+    """(entry, capability keys, canonical bound) of one requirement.
+
+    The keys are the names an offer may state the term under, in the order
+    they are tried: as written, the term, then its aliases.  A requirement
+    that does not fit its term raises, as :func:`canonical_bound` does.
+    """
+    entry = catalog.lookup(constraint.metric, concept)
+    if entry is None:
+        raise ValueError(f"metric {constraint.metric!r} is not defined for {concept!r}")
+    keys = tuple(dict.fromkeys((constraint.metric, entry.term, *entry.aliases)))
+    return entry, keys, canonical_bound(constraint, entry)
+
+
+def satisfies_capability(constraint: MetricConstraint, offer: ProviderOffer, catalog: Catalog,
+                         resolved: tuple | None = None) -> str:
     """Verdict for one constraint against one offer.
 
     Returns ``unspecified`` when the offer does not mention the metric;
     otherwise ``satisfied`` iff the guaranteed bound implies the constraint
-    for every deliverable value.  A constraint or capability that does not
-    fit the term's value type raises :class:`TypeMismatchError`, as
-    :func:`check_constraint_against_value` does.
+    for every deliverable value.  A constraint that does not fit its term
+    raises what :func:`canonical_bound` raises, whatever the offer states,
+    and a capability that does not fit it raises :class:`TypeMismatchError`,
+    as :func:`check_constraint_against_value` does.  ``resolved`` is the
+    constraint's :func:`_resolve` for the offer's concept, when the caller
+    has it.
     """
-    entry = catalog.lookup(constraint.metric, offer.concept)
-    if entry is None:
-        raise ValueError(
-            f"metric {constraint.metric!r} is not defined for {offer.concept!r}"
-        )
-    capability = offer.capabilities.get(constraint.metric)
-    if capability is None and constraint.metric != entry.term:
-        # constraint written with an alias; the offer may use the canonical
-        capability = offer.capabilities.get(entry.term)
-    if capability is None:
-        for alias in entry.aliases:
-            capability = offer.capabilities.get(alias)
-            if capability is not None:
-                break
+    entry, keys, threshold = resolved or _resolve(constraint, offer.concept, catalog)
+    capability = next((offer.capabilities[k] for k in keys if k in offer.capabilities), None)
     if capability is None:
         return UNSPECIFIED
-
-    if not entry.value_type == constraint.value.tag == capability.tag == "numeric":
+    if threshold is None or capability.tag != "numeric":
         # a non-numeric capability is delivered as advertised
         return check_constraint_against_value(constraint, capability, entry)
-    threshold = to_canonical(constraint.value, entry, "constraint unit")
     bound = to_canonical(capability, entry, "offer unit")
-    lo, hi = _delivered_interval(bound, entry)
-    ok = _interval_satisfies(constraint.comparator, lo, hi, threshold)
-    return SATISFIED if ok else VIOLATED
+    return SATISFIED if _guaranteed(constraint.comparator, bound, threshold, entry) else VIOLATED
 
 
 def _weights_of(
     requirements: list[MetricConstraint],
+    entries: list[VocabularyEntry],
     weights: Mapping[str, Fraction | int] | None,
     concept: str,
     catalog: Catalog,
 ) -> list[int]:
     """Each requirement's weight, matched by term: a weight given under a
     term or any of its aliases weighs every requirement on that term,
-    however it is spelt.  Terms with no weight weigh 1.  The weights come
-    back as integers over their least common denominator."""
+    however it is spelt.  ``entries`` are the requirements' terms.  Terms
+    with no weight weigh 1.  The weights come back as integers over their
+    least common denominator."""
     by_term: dict[str, Fraction | int] = {}
     for key, weight in (weights or {}).items():
         entry = catalog.lookup(key, concept)
         by_term[entry.term if entry else key] = weight
     result = []
-    for constraint in requirements:
-        entry = catalog.lookup(constraint.metric, concept)
-        weight = Fraction(by_term.get(entry.term if entry else constraint.metric, 1))
+    for constraint, entry in zip(requirements, entries):
+        weight = Fraction(by_term.get(entry.term, 1))
         if weight <= 0:
             raise ValueError(f"weight for {constraint.metric!r} must be positive")
         result.append(weight)
@@ -193,9 +188,7 @@ def score_offer(
     ``weights`` weigh 1.  With no requirements at all there is nothing to
     fail, so the score is 1.
     """
-    requirements = list(requirements)
-    verdicts = [satisfies_capability(c, offer, catalog) for c in requirements]
-    return _score(_weights_of(requirements, weights, offer.concept, catalog), verdicts)
+    return rank_offers(list(requirements), [offer], weights, catalog)[0].score
 
 
 def rank_offers(
@@ -206,6 +199,8 @@ def rank_offers(
 ) -> list[MatchReport]:
     """Evaluate and rank all offers.
 
+    Each requirement is resolved once, and one that does not fit its term
+    raises, whatever the offers state; with no offers nothing is resolved.
     Sorted by descending score, ties broken by ascending provider_id.
     Ranks use competition numbering: equal scores share a rank and the
     next distinct score skips past them (1, 2, 2, 4).
@@ -217,11 +212,13 @@ def rank_offers(
             f"offers span multiple concepts: {', '.join(sorted(concepts))}"
         )
     if offers:
-        weighed = _weights_of(requirements, weights, offers[0].concept, catalog)
+        concept = offers[0].concept
+        resolved = [_resolve(c, concept, catalog) for c in requirements]
+        weighed = _weights_of(requirements, [r[0] for r in resolved], weights, concept, catalog)
     scored: list[tuple[ProviderOffer, tuple[str, ...], Fraction]] = []
     for offer in offers:
         verdicts = tuple(
-            satisfies_capability(c, offer, catalog) for c in requirements
+            satisfies_capability(c, offer, catalog, r) for c, r in zip(requirements, resolved)
         )
         scored.append((offer, verdicts, _score(weighed, verdicts)))
 

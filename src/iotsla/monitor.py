@@ -56,12 +56,9 @@ from typing import Callable, Iterable
 
 from .constraints import (
     COMPARABLE_TAGS, DECIMAL_RE, SATISFIED, TypedValue, _compare,
-    check_constraint_against_value, exact_number, to_canonical, type_mismatch, unit_factor,
+    canonical_bound, check_constraint_against_value, exact_number, unit_factor,
 )
-from .errors import (
-    DomainError, EmptyWindowError, IncompatibleUnitsError, TelemetryFormatError,
-    TypeMismatchError,
-)
+from .errors import DomainError, EmptyWindowError, IncompatibleUnitsError, TelemetryFormatError
 from .jsonio import _constraint_dict, _value_fields
 from .model import APP_TARGET, MetricConstraint, SlaDocument, Slo, owned_slos
 from .vocabulary import APPLICATION_CONCEPT, Catalog, VocabularyEntry, load_builtin_catalog
@@ -278,10 +275,11 @@ class _Index:
     and the document id; ``watchers``: (home, term) -> [(position, slo,
     constraint, entry, bound)] in declaration order, where ``position``
     numbers every constraint of the attached SLOs in ``owned`` and
-    ``bound`` is :func:`_canonical_bound`'s.  Given ``doc``, the app home's
-    numeric constraints whose term, under any alias, is end-to-end response
-    time are filed under ``_SUMMED``, to be checked against the sum of the
-    activities' maxima; any other index samples the term like any other.
+    ``bound`` is :func:`canonical_bound`'s as (numerator, denominator).
+    Given ``doc``, the app home's numeric constraints whose term, under any
+    alias, is end-to-end response time are filed under ``_SUMMED``, to be
+    checked against the sum of the activities' maxima; any other index
+    samples the term like any other.
     ``members``: service -> positions of the activities requiring it,
     filled only for ``_SUMMED``.
     """
@@ -302,8 +300,10 @@ class _Index:
             if (doc is not None and key == (APP_TARGET, _E2E_METRIC)
                     and entry.value_type == "numeric"):
                 key = _SUMMED
-            self.watchers.setdefault(key, []).append(
-                (position, slo, constraint, entry, _canonical_bound(constraint, entry)))
+            bound = canonical_bound(constraint, entry)
+            if bound is not None:
+                bound = bound.as_integer_ratio()
+            self.watchers.setdefault(key, []).append((position, slo, constraint, entry, bound))
         self.activities: tuple[str, ...] = ()
         self.members: dict[str, list[int]] = {}
         if _SUMMED in self.watchers:
@@ -325,19 +325,6 @@ class _Index:
         watched = (home, entry.term) if (home, entry.term) in self.watchers else None
         members = self.members.get(target_id, ()) if entry.term in LATENCY_FAMILY else ()
         return entry, watched, members
-
-
-def _canonical_bound(constraint: MetricConstraint,
-                     entry: VocabularyEntry) -> tuple[int, int] | None:
-    """A numeric term's bound in ``entry``'s canonical unit as (numerator,
-    denominator), None for other terms.  A bound that does not fit the term
-    raises what :func:`check_constraint_against_value` would raise."""
-    reason = type_mismatch(entry, constraint.metric, constraint.comparator, constraint.value)
-    if reason is not None:
-        raise TypeMismatchError(reason)
-    if entry.value_type != "numeric":
-        return None
-    return to_canonical(constraint.value, entry, "constraint").as_integer_ratio()
 
 
 def _document_index(doc: SlaDocument, catalog: Catalog) -> _Index:
@@ -402,7 +389,7 @@ def _breach(constraint: MetricConstraint, entry: VocabularyEntry,
     """num/den, a window's figure in ``entry``'s canonical unit, as the
     observed value when it breaks ``constraint``, else None.  num *
     bound_den against bound_num * den compares it with the ``bound`` from
-    :func:`_canonical_bound` exactly in ints.
+    :func:`canonical_bound` exactly in ints.
     """
     if _compare(constraint.comparator, num * bound[1], bound[0] * den):
         return None

@@ -473,9 +473,10 @@ def _escape_string(value: str) -> str:
     return f'"{out}"'
 
 
-def _format_value(value: TypedValue) -> str:
+def _format_value(value: TypedValue, number=decimal_repr) -> str:
+    """``value`` as agreement text, its magnitude written by ``number``."""
     if value.tag == "numeric":
-        text = decimal_repr(value.magnitude)
+        text = number(value.magnitude)
         if value.unit is not None:
             return f"{text} {value.unit}"
         return text

@@ -17,6 +17,8 @@ python -m iotsla fmt - < "$fx/messy.sla" > "$out/fmt_messy.out"
 python -m iotsla validate "$fx/rhms.sla" --json > "$out/validate_rhms.out"
 python -m iotsla match "$fx/procure.sla" "$fx/alpha.offer.json" "$fx/beta.offer.json" \
   --weights "$fx/weights.json" --json > "$out/match_procure.out"
+python -m iotsla match "$fx/procure.sla" "$fx/alpha.offer.json" "$fx/beta.offer.json" \
+  --weights "$fx/weights.json" > "$out/match_procure_text.out"
 python -m iotsla match "$fx/rhms.sla" "$fx/alpha.offer.json" "$fx/beta.offer.json" \
   --json > "$out/match_rhms.out"
 # spike.telemetry breaches the agreement, so this exits 1

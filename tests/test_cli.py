@@ -396,9 +396,30 @@ def test_monitor_samples_a_text_end_to_end_term(capsys, tmp_path, rhms_text):
     assert run(capsys, "validate", str(sla), "--catalog", str(overlay))[0] == 0
     code, out, err = run(capsys, "monitor", str(sla), str(telemetry), "--catalog", str(overlay))
     assert code == 1 and "Traceback" not in err
-    assert "violation [0,60) slo=app_response: end_to_end_response_time == fast, " \
-           "observed slow" in out
+    assert "violation [0,60) slo=app_response: end_to_end_response_time == \"fast\", " \
+           "observed \"slow\"" in out
     assert "checked 4 records: 1 violation(s)" in out
+
+
+@pytest.mark.parametrize("term,bound,sample,line", [
+    ({"value_type": "text"}, '"true"', "slow", '== "true", observed "slow"'),
+    ({"value_type": "boolean", "direction": "target_equality"}, "true", "false",
+     "== true, observed false"),
+])
+def test_monitor_text_tells_a_text_bound_from_a_boolean(capsys, tmp_path, rhms_text,
+                                                        term, bound, sample, line):
+    # each value prints as the agreement language writes it, so a text
+    # "true" is quoted and a boolean true is not
+    sla = tmp_path / "e2e.sla"
+    sla.write_text(rhms_text.replace("end_to_end_response_time <= 5 time_unit",
+                                     f"end_to_end_response_time == {bound}"))
+    telemetry = tmp_path / "e2e.telemetry"
+    telemetry.write_text(f"30\tapp\tend_to_end_response_time\t{sample}\n")
+    overlay = tmp_path / "overlay.json"
+    overlay.write_text(json.dumps([{**E2E_TEXT, **term}]))
+    code, out, err = run(capsys, "monitor", str(sla), str(telemetry), "--catalog", str(overlay))
+    assert code == 1 and "Traceback" not in err
+    assert f"slo=app_response: end_to_end_response_time {line}\n" in out
 
 
 def test_monitor_ignores_incomparable_samples(capsys, tmp_path, rhms_text):

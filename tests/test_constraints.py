@@ -19,6 +19,7 @@ from iotsla import (
     TypeMismatchError,
     TypedValue,
     UNIT_FAMILIES,
+    UnitMismatchError,
     VIOLATED,
     check_constraint_against_value,
     convert,
@@ -168,6 +169,15 @@ def test_check_rejects_foreign_unit_family():
     c = MetricConstraint("latency", "<=", TypedValue.numeric(5, None))
     with pytest.raises(Exception):
         check_constraint_against_value(c, TypedValue.numeric(5, "mb"), entry)
+
+
+def test_check_refuses_the_whole_bound_before_the_value():
+    # the bound's unit is foreign to latency and the value is not a number:
+    # the bound is checked first, so its unit error is the one raised
+    entry = _entry("latency", "ingestion")
+    c = MetricConstraint("latency", "<=", TypedValue.numeric(5, "gb"))
+    with pytest.raises(UnitMismatchError, match="constraint for 'latency'"):
+        check_constraint_against_value(c, TypedValue.text("fast"), entry)
 
 
 def test_decimal_repr_exact():

@@ -11,8 +11,10 @@ from iotsla import (
     ProviderOffer,
     SATISFIED,
     SchemaViolationError,
+    TypeMismatchError,
     TypedValue,
     UNSPECIFIED,
+    UnitMismatchError,
     VIOLATED,
     load_offer,
     rank_offers,
@@ -20,6 +22,7 @@ from iotsla import (
 )
 from iotsla import matcher
 from iotsla.matcher import render_report_table, score_offer
+from iotsla.vocabulary import Catalog
 
 from support import (
     fixture_text,
@@ -213,6 +216,42 @@ def test_rank_offers_computes_each_verdict_once(catalog, monkeypatch):
     offers = [_offer(latency=4), _offer(latency=6, availability=100), _offer()]
     rank_offers(reqs, offers, {"latency": 2}, catalog)
     assert len(calls) == len(offers) * len(reqs)
+
+
+def test_rank_offers_resolves_each_requirement_once(catalog, monkeypatch):
+    calls = []
+    lookup = Catalog.lookup
+
+    def counting(self, term, concept):
+        calls.append(term)
+        return lookup(self, term, concept)
+
+    monkeypatch.setattr(Catalog, "lookup", counting)
+    reqs = [_constraint("latency", "<=", 5), _constraint("availability", ">=", 99),
+            _constraint("throughput", ">=", 1, "kb_per_s"), _constraint("latency", "<", 9)]
+    offers = [_offer(latency=4), _offer(latency=6, availability=100), _offer()] * 4
+    weights = {"latency": 2, "availability": 3}
+    rank_offers(reqs, offers, weights, catalog)
+    assert len(calls) <= len(reqs) + len(weights)
+
+
+@pytest.mark.parametrize("constraint,error", [
+    (MetricConstraint("latency", "<=", TypedValue.text("fast")), TypeMismatchError),
+    (_constraint("latency", "<=", 5, "gb"), UnitMismatchError),
+])
+def test_a_requirement_that_does_not_fit_is_refused_whatever_the_offer_states(
+        catalog, constraint, error):
+    # the offer does not name latency, yet the requirement is refused, as
+    # the monitor refuses such a bound before any sample arrives
+    offer = _offer(availability=100)
+    with pytest.raises(error):
+        satisfies_capability(constraint, offer, catalog)
+    with pytest.raises(error):
+        score_offer([constraint], offer, None, catalog)
+    with pytest.raises(error):
+        rank_offers([constraint], [offer], None, catalog)
+    # with no offers there is nothing to resolve
+    assert rank_offers([constraint], [], None, catalog) == []
 
 
 @pytest.mark.parametrize("metric", ["sampling_rate", "sampling_frequency"])

@@ -3,7 +3,8 @@
 A constraint the validator reports as V008 is exactly one that the checker
 and the matcher refuse with ``TypeMismatchError``, against an observed value
 or a capability that fits the term, and that the monitor refuses before any
-sample arrives.
+sample arrives.  The matcher refuses it too against an offer that does not
+state the term.
 """
 
 from datetime import date
@@ -20,6 +21,7 @@ from iotsla import (
     check_constraint_against_value,
     end_to_end_response,
     monitor_document,
+    rank_offers,
     satisfies_capability,
     validate,
 )
@@ -80,3 +82,14 @@ def test_the_monitor_refuses_the_same_bounds_before_any_sample(catalog, term, co
     assert _refuses(monitor_document, document, [], None, catalog) is v008
     # end to end checks only app SLOs, but builds the index over every SLO
     assert _refuses(end_to_end_response, document, [], None, catalog) is v008
+
+
+@pytest.mark.parametrize("term,comparator,value", CASES,
+                         ids=[f"{t} {c} {v.tag}" for t, c, v in CASES])
+def test_the_matcher_refuses_the_same_bounds_whatever_the_offer_states(catalog, term,
+                                                                       comparator, value):
+    constraint = MetricConstraint(term, comparator, value)
+    v008 = any(d.code == "V008" for d in validate(_document(constraint), catalog))
+    silent = ProviderOffer("p", "ingestion", {})
+    assert _refuses(satisfies_capability, constraint, silent, catalog) is v008
+    assert _refuses(rank_offers, [constraint], [silent], None, catalog) is v008
