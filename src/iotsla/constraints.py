@@ -40,6 +40,7 @@ __all__ = [
     "convert",
     "normalize_unit",
     "type_mismatch",
+    "canonical_factor",
     "canonical_bound",
     "check_constraint_against_value",
     "decimal_repr",
@@ -241,20 +242,6 @@ def _compare(comparator: str, left: Magnitude, right: Magnitude) -> bool:
     raise ValueError(f"unknown comparator: {comparator!r}")
 
 
-def to_canonical(value: TypedValue, entry, what: str) -> Fraction:
-    """Numeric ``value`` in the canonical unit of vocabulary ``entry``.
-
-    A missing unit means "already canonical".  A unit of another family
-    raises :class:`UnitMismatchError`, naming ``what`` and the term.
-    """
-    if value.unit is None or value.unit == entry.canonical_unit:
-        return value.magnitude
-    try:
-        return convert(value.magnitude, value.unit, entry.canonical_unit)
-    except IncompatibleUnitsError as exc:
-        raise UnitMismatchError(f"{what} for {entry.term!r}: {exc}") from None
-
-
 def type_mismatch(entry, metric: str, comparator: str, value: TypedValue) -> str | None:
     """Why ``metric <comparator> value`` does not fit ``entry``'s value type,
     or None when it does.
@@ -273,21 +260,43 @@ def type_mismatch(entry, metric: str, comparator: str, value: TypedValue) -> str
     return None
 
 
-def canonical_bound(constraint, entry) -> Fraction | None:
-    """A numeric term's bound in ``entry``'s canonical unit, None for other
-    terms.
+_ONE = Fraction(1)  # the factor of a value in no unit or the canonical one
 
-    The one bound rule of the checker, the monitor and the matcher: a
-    bound that does not fit the term's value type raises
-    :class:`TypeMismatchError` with the reason :func:`type_mismatch` gives,
-    and one in another unit family raises :class:`UnitMismatchError`.
+
+def canonical_factor(entry, metric: str, comparator: str, value: TypedValue,
+                     what: str) -> Fraction | None:
+    """The factor that takes ``value``'s magnitude into ``entry``'s canonical
+    unit, where no unit means canonical; None for a term that is not numeric.
+
+    The one fit rule of the validator, the checker, the monitor, the
+    matcher and ``load_offer``: a value that does not fit the term's value
+    type raises :class:`TypeMismatchError` with :func:`type_mismatch`'s
+    reason (V008), and a number in another unit family or an unknown unit
+    raises :class:`UnitMismatchError` naming ``what`` and the term (V007).
     """
-    reason = type_mismatch(entry, constraint.metric, constraint.comparator, constraint.value)
-    if reason is not None:
+    if (reason := type_mismatch(entry, metric, comparator, value)) is not None:
         raise TypeMismatchError(reason)
     if entry.value_type != "numeric":
         return None
-    return to_canonical(constraint.value, entry, "constraint")
+    if value.unit is None or value.unit == entry.canonical_unit:
+        return _ONE
+    try:
+        return unit_factor(value.unit, entry.canonical_unit)
+    except IncompatibleUnitsError as exc:
+        raise UnitMismatchError(f"{what} for {entry.term!r}: {exc}") from None
+
+
+def _scaled(magnitude: Fraction, factor: Fraction) -> Fraction:
+    """``magnitude`` times a :func:`canonical_factor`, skipping a factor of 1."""
+    return magnitude if factor is _ONE else magnitude * factor
+
+
+def canonical_bound(constraint, entry) -> Fraction | None:
+    """A numeric term's bound in ``entry``'s canonical unit, None for other
+    terms: :func:`canonical_factor` applied to the constraint."""
+    factor = canonical_factor(entry, constraint.metric, constraint.comparator,
+                              constraint.value, "constraint")
+    return None if factor is None else _scaled(constraint.value.value, factor)
 
 
 def check_constraint_against_value(constraint, value: TypedValue, entry) -> str:
@@ -297,27 +306,28 @@ def check_constraint_against_value(constraint, value: TypedValue, entry) -> str:
     the :class:`iotsla.vocabulary.VocabularyEntry` the metric resolves to.
     Returns ``SATISFIED`` or ``VIOLATED``.  Never returns ``UNSPECIFIED``:
     absence of data is the caller's concern.  The whole bound is checked
-    first, by :func:`canonical_bound`; a value that does not fit the term
-    then raises :class:`TypeMismatchError` with the reason
-    :func:`type_mismatch` gives.
+    first, then the value, each by :func:`canonical_factor`.
     """
     if not entry.matches_term(constraint.metric):
         raise ValueError(
             f"constraint metric {constraint.metric!r} does not name entry {entry.term!r}"
         )
     want = canonical_bound(constraint, entry)
-    reason = type_mismatch(entry, constraint.metric, constraint.comparator, value)
-    if reason is not None:
-        raise TypeMismatchError(reason)
-    if want is None:
+    factor = canonical_factor(entry, constraint.metric, constraint.comparator, value,
+                              "observed value")
+    if factor is None:
         return SATISFIED if value.value == constraint.value.value else VIOLATED
-    got = to_canonical(value, entry, "observed value")
+    got = _scaled(value.value, factor)
     return SATISFIED if _compare(constraint.comparator, got, want) else VIOLATED
 
 
-# The numeral of ``.sla`` text and telemetry values: ASCII digits with an
-# optional fraction, no sign, no exponent.  JSON numbers keep JSON's grammar.
+# The token patterns of ``.sla`` text, each spelt once: the numeral, also of
+# telemetry values (ASCII digits with an optional fraction, no sign, no
+# exponent; JSON numbers keep JSON's grammar), the date, which interchange
+# reads too, and the identifier of ids, terms, units and keywords.
 DECIMAL_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 # The words of the agreement language, which no name may be.
 KEYWORDS = frozenset(
@@ -325,13 +335,10 @@ KEYWORDS = frozenset(
      "service", "resource", "true", "false"}
 )
 
-_IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
-
-
 def _is_name(text: str) -> bool:
     """True for a non-keyword identifier, the only name agreement text can
     write for an id, a term or a unit."""
-    return _IDENT_RE.match(text) is not None and text not in KEYWORDS
+    return IDENT_RE.fullmatch(text) is not None and text not in KEYWORDS
 
 
 # The lowest int string limit ``sys.set_int_max_str_digits`` takes, bar 0

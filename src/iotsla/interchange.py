@@ -30,7 +30,7 @@ from __future__ import annotations
 from datetime import date
 from typing import Any
 
-from .constraints import COMPARATORS, _is_name
+from .constraints import COMPARATORS, DATE_RE, _is_name
 from .errors import DuplicateIdError, SchemaViolationError
 from .model import (
     ACTIVITY_KINDS,
@@ -52,7 +52,6 @@ from .jsonio import (
     _constraint_dict, _objects, _read_choice, _read_typed_value, _value_fields, _want_ident,
     _want_list, _want_object, _want_str, emit_json, read_json,
 )
-from .parser import _DATE_RE
 
 __all__ = ["to_interchange", "from_interchange"]
 
@@ -113,7 +112,7 @@ def _want_date(data: dict, key: str, pointer: str) -> date:
     raw = _want_str(data, key, pointer)
     # The text parser's date token first: ``date.fromisoformat`` alone also
     # takes ``20260101`` and ISO week dates on Python 3.11+.
-    if _DATE_RE.fullmatch(raw):
+    if DATE_RE.fullmatch(raw):
         try:
             return date.fromisoformat(raw)
         except ValueError:

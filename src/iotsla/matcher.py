@@ -26,13 +26,12 @@ from .constraints import (
     VIOLATED,
     TypedValue,
     _compare,
+    _scaled,
     canonical_bound,
-    check_constraint_against_value,
+    canonical_factor,
     decimal_str_or_fraction,
-    to_canonical,
-    type_mismatch,
 )
-from .errors import SchemaViolationError, UnitMismatchError
+from .errors import SchemaViolationError, TypeMismatchError, UnitMismatchError
 from .jsonio import (
     _objects, _read_choice, _read_typed_value, _want_object, _want_str, read_json,
 )
@@ -127,19 +126,19 @@ def satisfies_capability(constraint: MetricConstraint, offer: ProviderOffer, cat
     otherwise ``satisfied`` iff the guaranteed bound implies the constraint
     for every deliverable value.  A constraint that does not fit its term
     raises what :func:`canonical_bound` raises, whatever the offer states,
-    and a capability that does not fit it raises :class:`TypeMismatchError`,
-    as :func:`check_constraint_against_value` does.  ``resolved`` is the
-    constraint's :func:`_resolve` for the offer's concept, when the caller
-    has it.
+    and a capability that does not fit it raises what
+    :func:`canonical_factor` raises.  ``resolved`` is the constraint's
+    :func:`_resolve` for the offer's concept, when the caller has it.
     """
     entry, keys, threshold = resolved or _resolve(constraint, offer.concept, catalog)
     capability = next((offer.capabilities[k] for k in keys if k in offer.capabilities), None)
     if capability is None:
         return UNSPECIFIED
-    if threshold is None or capability.tag != "numeric":
-        # a non-numeric capability is delivered as advertised
-        return check_constraint_against_value(constraint, capability, entry)
-    bound = to_canonical(capability, entry, "offer unit")
+    factor = canonical_factor(entry, constraint.metric, constraint.comparator, capability,
+                              "offer unit")
+    if factor is None:  # a non-numeric capability is delivered as advertised
+        return SATISFIED if capability.value == constraint.value.value else VIOLATED
+    bound = _scaled(capability.value, factor)
     return SATISFIED if _guaranteed(constraint.comparator, bound, threshold, entry) else VIOLATED
 
 
@@ -262,14 +261,12 @@ def load_offer(text: str | bytes, catalog: Catalog) -> ProviderOffer:
             )
         value = _read_typed_value(item, pointer)
         # a capability states a value, so only the value's kind can misfit
-        reason = type_mismatch(entry, metric, "==", value)
-        if reason is not None:
-            raise SchemaViolationError(f"{pointer}/value", reason)
-        if value.tag == "numeric":
-            try:
-                to_canonical(value, entry, "offer unit")
-            except UnitMismatchError as exc:
-                raise SchemaViolationError(f"{pointer}/unit", str(exc)) from None
+        try:
+            canonical_factor(entry, metric, "==", value, "offer unit")
+        except TypeMismatchError as exc:
+            raise SchemaViolationError(f"{pointer}/value", str(exc)) from None
+        except UnitMismatchError as exc:
+            raise SchemaViolationError(f"{pointer}/unit", str(exc)) from None
         capabilities[entry.term] = value
     return ProviderOffer(provider_id, concept, capabilities)
 

@@ -55,8 +55,7 @@ from math import lcm
 from typing import Callable, Iterable
 
 from .constraints import (
-    COMPARABLE_TAGS, DECIMAL_RE, SATISFIED, TypedValue, _compare,
-    canonical_bound, check_constraint_against_value, exact_number, unit_factor,
+    COMPARABLE_TAGS, DECIMAL_RE, TypedValue, _compare, canonical_bound, exact_number, unit_factor,
 )
 from .errors import DomainError, EmptyWindowError, IncompatibleUnitsError, TelemetryFormatError
 from .jsonio import _constraint_dict, _value_fields
@@ -376,12 +375,13 @@ def _plus(num: int, den: int, other_num: int, other_den: int) -> tuple[int, int]
     return num * (common // den) + other_num * (common // other_den), common
 
 
-def _first_offender(constraint: MetricConstraint, entry: VocabularyEntry,
+def _first_offender(constraint: MetricConstraint,
                     firsts: dict[TypedValue, int]) -> TypedValue | None:
-    """The earliest sample breaking ``constraint``, ties broken by value."""
-    offending = [v for v in firsts
-                 if check_constraint_against_value(constraint, v, entry) != SATISFIED]
-    return min(offending, key=lambda v: (firsts[v], str(v.value), v.tag), default=None)
+    """The earliest sample breaking ``constraint``, ties broken by value:
+    the bound was fitted when indexed and ``firsts`` holds only comparable
+    values, so a sample breaks it by being another value."""
+    return min((v for v in firsts if v.value != constraint.value.value),
+               key=lambda v: (firsts[v], str(v.value), v.tag), default=None)
 
 
 def _breach(constraint: MetricConstraint, entry: VocabularyEntry,
@@ -472,7 +472,7 @@ def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationW
         for position, slo, constraint, _, bound in watchers:
             culprit = (_breach(constraint, entry, bound, num, den)
                        if entry.value_type == "numeric"
-                       else _first_offender(constraint, entry, state))
+                       else _first_offender(constraint, state))
             if culprit is not None:
                 event = ViolationEvent(*window.bounds(slot), slo.id, constraint, culprit)
                 events.append((slot, position, event))

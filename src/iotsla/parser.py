@@ -45,7 +45,8 @@ import re
 from datetime import date
 from typing import NamedTuple
 
-from .constraints import COMPARATORS, DECIMAL_RE, KEYWORDS, TypedValue, decimal_repr, exact_number
+from .constraints import (COMPARATORS, DATE_RE, DECIMAL_RE, IDENT_RE, KEYWORDS, TypedValue,
+                          decimal_repr, exact_number)
 from .errors import ParseError
 from .model import (
     ACTIVITY_KINDS,
@@ -68,8 +69,6 @@ from .model import (
 
 __all__ = ["KEYWORDS", "parse", "serialize"]
 
-_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-
 # Whitespace and comments lead into the token after them.  The empty ``eof``
 # alternative always matches, so a match never backtracks into them: it ends
 # at a token, at the end of the input, or at a character no token starts with.
@@ -78,14 +77,14 @@ _TOKEN_RE = re.compile(
     r"""
       [ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
       (?:
-        (?P<ident>[a-z][a-z0-9_]*)
+        (?P<ident>%s)
       | (?P<date>%s)
       | (?P<number>%s)
       | (?P<string>"(?:\\.|[^"\\\n])*")
       | (?P<op>==|<=|>=|[{}=:,<>])
       | (?P<eof>)
       )
-    """ % (_DATE_RE.pattern, DECIMAL_RE.pattern),
+    """ % (IDENT_RE.pattern, DATE_RE.pattern, DECIMAL_RE.pattern),
     re.VERBOSE,
 )
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import type_mismatch, units_convertible
+from .constraints import canonical_factor
+from .errors import TypeMismatchError, UnitMismatchError
 from .model import SlaDocument, Slo, SourceSpan, owned_slos
 from .vocabulary import Catalog, load_builtin_catalog
 
@@ -165,7 +166,7 @@ def validate(doc: SlaDocument, catalog: Catalog | None = None) -> list[Diagnosti
             )
 
     # V006/V007/V008: every constraint must use a term the target's concept
-    # knows, with a convertible unit and a type-compatible comparator/value.
+    # knows, and fit it by canonical_factor: its type (V008), then its unit (V007).
     def check_slo(slo: Slo, concept: str | None):
         if concept is None:
             report(
@@ -184,18 +185,14 @@ def validate(doc: SlaDocument, catalog: Catalog | None = None) -> list[Diagnosti
                     c.span, slo.id,
                 )
                 continue
-            if c.value.tag == "numeric" and entry.value_type == "numeric":
-                unit = c.value.unit
-                if unit is not None and not units_convertible(unit, entry.canonical_unit):
-                    report(
-                        "V007", ERROR,
-                        f"unit '{unit}' is not convertible to '{entry.canonical_unit}', "
-                        f"the canonical unit of '{c.metric}'",
-                        c.span, slo.id,
-                    )
-            mismatch = type_mismatch(entry, c.metric, c.comparator, c.value)
-            if mismatch is not None:
-                report("V008", ERROR, mismatch, c.span, slo.id)
+            try:
+                canonical_factor(entry, c.metric, c.comparator, c.value, "constraint")
+            except TypeMismatchError as exc:
+                report("V008", ERROR, str(exc), c.span, slo.id)
+            except UnitMismatchError:
+                report("V007", ERROR, f"unit '{c.value.unit}' is not convertible to "
+                       f"'{entry.canonical_unit}', the canonical unit of '{c.metric}'",
+                       c.span, slo.id)
 
     for _, concept, slo in owned_slos(doc):
         check_slo(slo, concept)

@@ -5,7 +5,9 @@ are the per-SLO implementation that ``iotsla.monitor`` replaced, kept
 unchanged but for absolute imports: every SLO re-sorts and rescans the
 records, end-to-end response time loops over activities, services and
 records, and the skip count resolves each record's target through
-``concept_of_target``.  It is slow (O(SLOs × records)) but simple, so
+``concept_of_target``.  ``to_canonical`` is the unit conversion
+``iotsla.constraints`` had before its one fit rule, moved here so that the
+oracle converts samples by its own code.  It is slow (O(SLOs × records)) but simple, so
 ``test_monitor_oracle.py`` checks the fold against it on generated
 agreements and telemetry.
 
@@ -23,10 +25,10 @@ from iotsla.constraints import (
     SATISFIED,
     TypedValue,
     check_constraint_against_value,
+    convert,
     mean,
-    to_canonical,
 )
-from iotsla.errors import UnitMismatchError
+from iotsla.errors import IncompatibleUnitsError, UnitMismatchError
 from iotsla.model import (
     APP_TARGET,
     SlaDocument,
@@ -51,6 +53,20 @@ def _as_window(window: EvaluationWindow | int | None) -> EvaluationWindow:
     if isinstance(window, int):
         return EvaluationWindow(window)
     return window
+
+
+def to_canonical(value: TypedValue, entry, what: str) -> Fraction:
+    """Numeric ``value`` in the canonical unit of vocabulary ``entry``.
+
+    A missing unit means "already canonical".  A unit of another family
+    raises :class:`UnitMismatchError`, naming ``what`` and the term.
+    """
+    if value.unit is None or value.unit == entry.canonical_unit:
+        return value.magnitude
+    try:
+        return convert(value.magnitude, value.unit, entry.canonical_unit)
+    except IncompatibleUnitsError as exc:
+        raise UnitMismatchError(f"{what} for {entry.term!r}: {exc}") from None
 
 
 def _canonical_magnitude(record: TelemetryRecord, entry: VocabularyEntry) -> Fraction | None:

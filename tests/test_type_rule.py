@@ -1,10 +1,11 @@
-"""Every layer applies one value-type rule.
+"""Every layer applies one value-type rule and one unit rule.
 
 A constraint the validator reports as V008 is exactly one that the checker
 and the matcher refuse with ``TypeMismatchError``, against an observed value
 or a capability that fits the term, and that the monitor refuses before any
 sample arrives.  The matcher refuses it too against an offer that does not
-state the term.
+state the term.  Likewise a numeric bound the validator reports as V007 is
+exactly one that every layer refuses with ``UnitMismatchError``.
 """
 
 from datetime import date
@@ -18,6 +19,7 @@ from iotsla import (
     ProviderOffer,
     TypeMismatchError,
     TypedValue,
+    UnitMismatchError,
     check_constraint_against_value,
     end_to_end_response,
     monitor_document,
@@ -93,3 +95,36 @@ def test_the_matcher_refuses_the_same_bounds_whatever_the_offer_states(catalog, 
     silent = ProviderOffer("p", "ingestion", {})
     assert _refuses(satisfies_capability, constraint, silent, catalog) is v008
     assert _refuses(rank_offers, [constraint], [silent], None, catalog) is v008
+
+
+# numeric bounds in no unit, the canonical unit, a unit of the data-rate
+# family, one of the wall-clock family, one of the bytes family, and no
+# known unit
+UNITS = (None, "canonical", "kb_per_s", "ms", "gb", "furlong")
+UNIT_CASES = list(product(("latency", "throughput"), UNITS))
+
+
+def _refuses_the_unit(check, *args) -> bool:
+    try:
+        check(*args)
+    except UnitMismatchError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("term,unit", UNIT_CASES, ids=[f"{t} in {u}" for t, u in UNIT_CASES])
+def test_v007_is_exactly_the_unit_error_every_layer_raises(catalog, term, unit):
+    entry = catalog.lookup(term, "ingestion")
+    unit = entry.canonical_unit if unit == "canonical" else unit
+    constraint = MetricConstraint(term, "<=", TypedValue.numeric(5, unit))
+    document = _document(constraint)
+    codes = [d.code for d in validate(document, catalog) if d.severity == "error"]
+    assert set(codes) <= {"V007"}
+    v007 = "V007" in codes
+    fitting = FITTING["latency"]  # a number in no unit fits either term
+    offer = ProviderOffer("p", "ingestion", {term: fitting})
+    assert _refuses_the_unit(check_constraint_against_value, constraint, fitting, entry) is v007
+    assert _refuses_the_unit(satisfies_capability, constraint, offer, catalog) is v007
+    assert _refuses_the_unit(rank_offers, [constraint], [offer], None, catalog) is v007
+    assert _refuses_the_unit(monitor_document, document, [], None, catalog) is v007
+    assert _refuses_the_unit(end_to_end_response, document, [], None, catalog) is v007
