@@ -80,13 +80,11 @@ class MatchReport:
         }
 
 
-_ZERO = Fraction(0)
-
-
-def _guaranteed(comparator: str, bound: Fraction, threshold: Fraction,
+def _guaranteed(comparator: str, bound: tuple[int, int], threshold: tuple[int, int],
                 entry: VocabularyEntry) -> bool:
     """Does every value the provider may deliver under ``bound`` satisfy
-    ``value <comparator> threshold``?
+    ``value <comparator> threshold``?  Both are (numerator, denominator)
+    pairs with positive denominators, compared by cross-multiplication.
 
     Metric magnitudes in this model are non-negative (the source grammar
     cannot express a sign), so a lower_is_better bound delivers [0, bound],
@@ -95,27 +93,34 @@ def _guaranteed(comparator: str, bound: Fraction, threshold: Fraction,
     ``>=``, else the highest, which must be bounded, and for ``==`` must
     equal ``lo``.
     """
-    lo = _ZERO if entry.direction == "lower_is_better" else bound
+    (high, den), (want, want_den) = bound, threshold
+    lo = 0 if entry.direction == "lower_is_better" else high  # over ``den`` too
     if comparator in (">", ">="):
-        return _compare(comparator, lo, threshold)
-    return (entry.direction != "higher_is_better" and (comparator != "==" or lo == bound)
-            and _compare(comparator, bound, threshold))
+        return _compare(comparator, lo * want_den, want * den)
+    return (entry.direction != "higher_is_better" and (comparator != "==" or lo == high)
+            and _compare(comparator, high * want_den, want * den))
+
+
+def _pair(value: Fraction) -> tuple[int, int]:
+    return value.numerator, value.denominator
 
 
 def _resolve(
     constraint: MetricConstraint, concept: str, catalog: Catalog
-) -> tuple[VocabularyEntry, tuple[str, ...], Fraction | None]:
+) -> tuple[VocabularyEntry, tuple[str, ...], tuple[int, int] | None]:
     """(entry, capability keys, canonical bound) of one requirement.
 
     The keys are the names an offer may state the term under, in the order
-    they are tried: as written, the term, then its aliases.  A requirement
-    that does not fit its term raises, as :func:`canonical_bound` does.
+    they are tried: as written, the term, then its aliases.  The bound is a
+    (numerator, denominator) pair.  A requirement that does not fit its
+    term raises, as :func:`canonical_bound` does.
     """
     entry = catalog.lookup(constraint.metric, concept)
     if entry is None:
         raise ValueError(f"metric {constraint.metric!r} is not defined for {concept!r}")
     keys = tuple(dict.fromkeys((constraint.metric, entry.term, *entry.aliases)))
-    return entry, keys, canonical_bound(constraint, entry)
+    bound = canonical_bound(constraint, entry)
+    return entry, keys, None if bound is None else _pair(bound)
 
 
 def satisfies_capability(constraint: MetricConstraint, offer: ProviderOffer, catalog: Catalog,
@@ -128,17 +133,25 @@ def satisfies_capability(constraint: MetricConstraint, offer: ProviderOffer, cat
     raises what :func:`canonical_bound` raises, whatever the offer states,
     and a capability that does not fit it raises what
     :func:`canonical_factor` raises.  ``resolved`` is the constraint's
-    :func:`_resolve` for the offer's concept, when the caller has it.
+    :func:`_resolve` for the offer's concept, when the caller has it, and a
+    dict of the offer's capabilities fitted to their terms so far.
     """
-    entry, keys, threshold = resolved or _resolve(constraint, offer.concept, catalog)
-    capability = next((offer.capabilities[k] for k in keys if k in offer.capabilities), None)
-    if capability is None:
+    entry, keys, threshold, fits = resolved or (*_resolve(constraint, offer.concept, catalog), {})
+    capabilities = offer.capabilities
+    for key in keys:
+        if key in capabilities:
+            break
+    else:
         return UNSPECIFIED
-    factor = canonical_factor(entry, constraint.metric, constraint.comparator, capability,
-                              "offer unit")
-    if factor is None:  # a non-numeric capability is delivered as advertised
+    capability = capabilities[key]
+    slot = (key, entry.term)
+    if slot not in fits:  # the first pair to consult a capability fits it
+        factor = canonical_factor(entry, constraint.metric, constraint.comparator, capability,
+                                  "offer unit")
+        fits[slot] = None if factor is None else _pair(_scaled(capability.value, factor))
+    bound = fits[slot]
+    if bound is None:  # a non-numeric capability is delivered as advertised
         return SATISFIED if capability.value == constraint.value.value else VIOLATED
-    bound = _scaled(capability.value, factor)
     return SATISFIED if _guaranteed(constraint.comparator, bound, threshold, entry) else VIOLATED
 
 
@@ -216,8 +229,10 @@ def rank_offers(
         weighed = _weights_of(requirements, [r[0] for r in resolved], weights, concept, catalog)
     scored: list[tuple[ProviderOffer, tuple[str, ...], Fraction]] = []
     for offer in offers:
+        fits: dict = {}
         verdicts = tuple(
-            satisfies_capability(c, offer, catalog, r) for c, r in zip(requirements, resolved)
+            satisfies_capability(c, offer, catalog, (*r, fits))
+            for c, r in zip(requirements, resolved)
         )
         scored.append((offer, verdicts, _score(weighed, verdicts)))
 

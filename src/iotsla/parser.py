@@ -42,6 +42,7 @@ either a document or a :class:`ParseError`, never a crash.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from datetime import date
 from typing import NamedTuple
 
@@ -90,6 +91,7 @@ _TOKEN_RE = re.compile(
 
 _STRING_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 _ESCAPE_RE = re.compile(r"\\(.)")
+_NEWLINE_RE = re.compile("\n")
 
 
 class _Token(NamedTuple):
@@ -113,153 +115,172 @@ def _decode(text: str | bytes) -> str:
         raise ParseError("input is not valid UTF-8", line, col) from None
 
 
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of ``text``, one regex match each, then two ``eof`` tokens:
-    looking one token ahead never runs off the end."""
-    tokens: list[_Token] = []
-    append = tokens.append
-    match_at = _TOKEN_RE.match
-    new = tuple.__new__  # a _Token checks nothing, so skip its Python-level __new__
-    pos = 0
-    line = 1
-    line_start = 0  # offset of the first character of ``line``
-    while True:
-        match = match_at(text, pos)
+def _line_starts(text: str) -> list[int]:
+    """The offset of the first character of each line of ``text``."""
+    return [0, *[match.end() for match in _NEWLINE_RE.finditer(text)]]
+
+
+def _position(line_starts: list[int], offset: int) -> tuple[int, int]:
+    """The (line, col) of ``offset``, and so of a token's end: no token holds a line break."""
+    line = bisect_right(line_starts, offset)
+    return line, offset - line_starts[line - 1] + 1
+
+
+def _scan(text: str) -> tuple[list[str], list[str], list[int]]:
+    """The kind, text and end offset of each token of ``text`` in three flat
+    lists, then two ``eof`` tokens, so looking one token ahead never runs off
+    the end.  One match is alive at a time, the cyclic GC tracks no token,
+    and a lexical error is reported before any syntax error."""
+    kinds, texts, ends = [], [], []
+    add_kind, add_text, add_end = kinds.append, texts.append, ends.append
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        start = match.start(kind)
-        newlines = text.count("\n", pos, start)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", pos, start) + 1
-        col = start - line_start + 1
         if kind == "eof":
             break
-        pos = match.end()
-        append(new(_Token, (kind, match.group(kind), line, col, line, col + pos - start)))
-    if start < len(text):
-        char = text[start]
-        if char == '"':
-            raise ParseError("unterminated string literal", line, col)
-        raise ParseError(f"unexpected character {char!r}", line, col)
-    eof = _Token("eof", "", line, col, line, col)
-    tokens += (eof, eof)
-    return tokens
+        add_kind(kind)
+        add_text(match[kind])
+        add_end(match.end())
+    at = match.end()
+    if at < len(text):
+        message = ("unterminated string literal" if text[at] == '"'
+                   else f"unexpected character {text[at]!r}")
+        raise ParseError(message, *_position(_line_starts(text), at))
+    kinds += ("eof", "eof")
+    texts += ("", "")
+    ends += (at, at)
+    return kinds, texts, ends
 
 
-def _unescape_string(token: _Token) -> str:
-    body = token.text[1:-1]
+def _tokenize(text: str) -> list[_Token]:
+    """:func:`_scan`'s tokens as tuples with their positions."""
+    tokens, starts = _scan(text), _line_starts(text)
+    return [_Token(kind, raw, *_position(starts, end - len(raw)), *_position(starts, end))
+            for kind, raw, end in zip(*tokens)]
+
+
+def _unescape(raw: str, at) -> str:
+    """The value of string token ``raw``; ``at()`` gives its (line, col)."""
+    body = raw[1:-1]
     if "\\" not in body:
         return body
 
     def unescape(match: re.Match) -> str:
         escape = match.group(1)
         if escape not in _STRING_ESCAPES:
-            raise ParseError(
-                f"invalid escape sequence '\\{escape}'", token.line, token.col
-            )
+            raise ParseError(f"invalid escape sequence '\\{escape}'", *at())
         return _STRING_ESCAPES[escape]
 
     return _ESCAPE_RE.sub(unescape, body)
 
 
+def _unescape_string(token: _Token) -> str:
+    return _unescape(token.text, lambda: (token.line, token.col))
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Recursive descent over :func:`_scan`'s lists.  A token is its index into
+    them; its line and column are computed only for a span or an error."""
+
+    def __init__(self, text: str):
+        self.kinds, self.texts, self.ends = _scan(text)
+        self.line_starts = _line_starts(text)
         self.pos = 0
-        self.seen_ids: dict[str, _Token] = {}
+        self.seen_ids: set[str] = set()
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def position(self, token: int) -> tuple[int, int]:
+        """Where ``token`` starts."""
+        return _position(self.line_starts, self.ends[token] - len(self.texts[token]))
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        if token.type != "eof":
-            self.pos += 1
-        return token
+    def fail(self, message: str, token: int, expected: frozenset[str] | None = None):
+        raise ParseError(message, *self.position(token), expected)
 
-    def fail(self, message: str, token: _Token, expected: frozenset[str] | None = None):
-        raise ParseError(message, token.line, token.col, expected)
-
-    def _describe(self, token: _Token) -> str:
-        if token.type == "eof":
+    def _describe(self, token: int) -> str:
+        if self.kinds[token] == "eof":
             return "end of input"
-        return repr(token.text)
+        return repr(self.texts[token])
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> int:
         """The next token, a keyword or operator spelt ``text``: no other
         kind of token is spelt as one."""
-        token = self.tokens[self.pos]
-        if token.text != text:
+        token = self.pos
+        if self.texts[token] != text:
             self.fail(f"expected {text!r}, found {self._describe(token)}", token,
                       frozenset({text}))
-        self.pos += 1  # the token is not eof, so advance()'s check is not needed
-        return token
-
-    def expect_ident(self, what: str = "identifier") -> _Token:
-        token = self.tokens[self.pos]
-        if token.type != "ident":
-            self.fail(f"expected {what}, found {self._describe(token)}", token,
-                      frozenset({what}))
-        if token.text in KEYWORDS:
-            self.fail(f"{token.text!r} is a reserved keyword", token)
         self.pos += 1
         return token
 
-    def expect_choice(self, token_type: str, choices: tuple[str, ...], what: str) -> _Token:
-        """The next token, a ``token_type`` in ``choices``.
+    def expect_ident(self, what: str = "identifier") -> str:
+        token = self.pos
+        if self.kinds[token] != "ident":
+            self.fail(f"expected {what}, found {self._describe(token)}", token,
+                      frozenset({what}))
+        text = self.texts[token]
+        if text in KEYWORDS:
+            self.fail(f"{text!r} is a reserved keyword", token)
+        self.pos += 1
+        return text
+
+    def expect_choice(self, token_type: str, choices: tuple[str, ...], what: str) -> str:
+        """The next token's text, a ``token_type`` in ``choices``.
 
         A ``"name"`` is an identifier read by :meth:`expect_ident`, and one
         outside ``choices`` is unknown; any other token outside them fails
         with ``choices`` listed.  ``what`` begins with its article.
         """
         if token_type == "name":
-            token = self.expect_ident(what)
-            if token.text not in choices:
-                self.fail(f"unknown {what.partition(' ')[2]} {token.text!r}", token,
+            text = self.expect_ident(what)
+            if text not in choices:
+                self.fail(f"unknown {what.partition(' ')[2]} {text!r}", self.pos - 1,
                           frozenset(choices))
-            return token
-        token = self.tokens[self.pos]
-        if token.type != token_type or token.text not in choices:
+            return text
+        token = self.pos
+        if self.kinds[token] != token_type or self.texts[token] not in choices:
             self.fail(f"expected {what} ({', '.join(choices)}), found {self._describe(token)}",
                       token, frozenset(choices))
         self.pos += 1
-        return token
+        return self.texts[token]
+
+    def string(self, token: int) -> str:
+        return _unescape(self.texts[token], lambda: self.position(token))
 
     def expect_string(self, what: str) -> str:
-        token = self.peek()
-        if token.type != "string":
+        token = self.pos
+        if self.kinds[token] != "string":
             self.fail(f"expected {what} (a quoted string), found {self._describe(token)}",
                       token, frozenset({"string"}))
-        self.advance()
-        return _unescape_string(token)
+        self.pos += 1
+        return self.string(token)
 
     def expect_date(self, what: str) -> date:
-        token = self.peek()
-        if token.type != "date":
+        token = self.pos
+        if self.kinds[token] != "date":
             self.fail(f"expected {what} (YYYY-MM-DD), found {self._describe(token)}",
                       token, frozenset({"date"}))
         try:
-            value = date.fromisoformat(token.text)
+            value = date.fromisoformat(self.texts[token])
         except ValueError:
-            self.fail(f"invalid calendar date {token.text!r}", token)
-        self.advance()
+            self.fail(f"invalid calendar date {self.texts[token]!r}", token)
+        self.pos += 1
         return value
 
-    def declare_id(self, token: _Token) -> str:
-        if token.text in self.seen_ids:
-            self.fail(f"duplicate identifier {token.text!r}", token)
-        self.seen_ids[token.text] = token
-        return token.text
+    def declare_id(self, what: str) -> str:
+        """An identifier that no earlier declaration took."""
+        name = self.expect_ident(what)
+        if name in self.seen_ids:
+            self.fail(f"duplicate identifier {name!r}", self.pos - 1)
+        self.seen_ids.add(name)
+        return name
 
-    @staticmethod
-    def span(start: _Token, end: _Token) -> SourceSpan:
-        # ``end`` is never read before ``start``, so the span's check would pass
-        return tuple.__new__(SourceSpan, (start.line, start.col, end.end_line, end.end_col))
-
-    def prev(self) -> _Token:
-        return self.tokens[self.pos - 1]
+    def span(self, start: int) -> SourceSpan:
+        """From where token ``start`` begins to where the last token read ends."""
+        line, col = self.position(start)
+        end_line, end_col = _position(self.line_starts, self.ends[self.pos - 1])
+        if end_line == line:  # a one-line span holds one line number object, not two
+            end_line = line
+        # the end is never before the start, so the span's check would pass
+        return tuple.__new__(SourceSpan, (line, col, end_line, end_col))
 
     def field(self, key: str, read, *args):
         """``read(*args)`` after ``key =``."""
@@ -267,26 +288,31 @@ class _Parser:
         self.expect("=")
         return read(*args)
 
+    def at_clause(self) -> bool:
+        """Does a constraint or configuration clause start here?"""
+        return self.kinds[self.pos] == "ident" and self.texts[self.pos] not in KEYWORDS
+
     # -- values ------------------------------------------------------------
 
     def parse_value(self) -> TypedValue:
-        token = self.tokens[self.pos]
-        if token.type == "number":
+        token = self.pos
+        kind, text = self.kinds[token], self.texts[token]
+        if kind == "number":
             self.pos += 1
             try:
-                magnitude = exact_number(token.text)
+                magnitude = exact_number(text)
             except ValueError as exc:
                 self.fail(str(exc), token)
             unit = self.maybe_unit()
             return TypedValue("numeric", magnitude, unit)
-        if token.type == "ident" and token.text in ("true", "false"):
+        if kind == "ident" and text in ("true", "false"):
             self.pos += 1
             self.reject_unit_after("a boolean")
-            return TypedValue.boolean(token.text == "true")
-        if token.type == "string":
+            return TypedValue.boolean(text == "true")
+        if kind == "string":
             self.pos += 1
             self.reject_unit_after("a text")
-            return TypedValue.text(_unescape_string(token))
+            return TypedValue.text(self.string(token))
         self.fail(
             f"expected a value (number, true/false, or string), "
             f"found {self._describe(token)}",
@@ -298,35 +324,29 @@ class _Parser:
     def maybe_unit(self) -> str | None:
         # A trailing identifier is a unit unless it starts the next clause
         # (config key followed by '=', or constraint metric followed by a
-        # comparator).
-        token = self.tokens[self.pos]
-        if token.type != "ident" or token.text in KEYWORDS:
-            return None
-        following = self.tokens[self.pos + 1]
-        if following.type == "op" and (following.text == "=" or following.text in COMPARATORS):
+        # comparator); only operators are spelt as those.
+        following = self.texts[self.pos + 1]
+        if not self.at_clause() or following == "=" or following in COMPARATORS:
             return None
         self.pos += 1
-        return token.text
+        return self.texts[self.pos - 1]
 
     def reject_unit_after(self, what: str):
-        unit = self.maybe_unit()
-        if unit is not None:
-            self.fail(f"{what} value cannot carry a unit", self.prev())
+        if self.maybe_unit() is not None:
+            self.fail(f"{what} value cannot carry a unit", self.pos - 1)
 
     # -- productions ---------------------------------------------------------
 
     def parse_document(self) -> SlaDocument:
-        start = self.peek()
-        self.expect("sla")
+        start = self.expect("sla")
         title = self.expect_string("the agreement title")
         self.expect("{")
-        doc_id_token = self.field("id", self.expect_ident, "the agreement id")
-        self.declare_id(doc_id_token)
-        app_type = self.field("application", self.expect_ident, "an application type").text
+        doc_id = self.field("id", self.declare_id, "the agreement id")
+        app_type = self.field("application", self.expect_ident, "an application type")
         start_date = self.field("starts", self.expect_date, "the start date")
         end_date = self.field("ends", self.expect_date, "the end date")
         self.expect("}")
-        header_span = self.span(start, self.prev())
+        header_span = self.span(start)
 
         parties = self.blocks("party", self.parse_party)
         slos = self.blocks("slo", self.parse_slo)
@@ -334,18 +354,17 @@ class _Parser:
         services = self.blocks("service", self.parse_owner, "service", SERVICE_KINDS)
         resources = self.blocks("resource", self.parse_owner, "resource", RESOURCE_KINDS)
 
-        trailing = self.peek()
-        if trailing.type != "eof":
+        if self.kinds[self.pos] != "eof":
             self.fail(
                 f"expected a party/slo/activity/service/resource block or end "
-                f"of input, found {self._describe(trailing)}",
-                trailing,
+                f"of input, found {self._describe(self.pos)}",
+                self.pos,
                 frozenset({"party", "slo", "activity", "service", "resource"}),
             )
 
         return build_document(
             title=title,
-            doc_id=doc_id_token.text,
+            doc_id=doc_id,
             application_type=app_type,
             start_date=start_date,
             end_date=end_date,
@@ -360,70 +379,62 @@ class _Parser:
     def blocks(self, keyword: str, parse_block, *args) -> tuple:
         """``parse_block(*args)`` for each block in a row that opens with ``keyword``."""
         items = []
-        while self.peek().text == keyword:
+        while self.texts[self.pos] == keyword:
             items.append(parse_block(*args))
         return tuple(items)
 
     def parse_party(self) -> Party:
         start = self.expect("party")
-        id_token = self.expect_ident("a party id")
-        self.declare_id(id_token)
+        party_id = self.declare_id("a party id")
         self.expect("{")
         name = self.field("name", self.expect_string, "the party name")
-        role = self.field("role", self.expect_choice, "ident", PARTY_ROLES, "a party role").text
+        role = self.field("role", self.expect_choice, "ident", PARTY_ROLES, "a party role")
         self.expect("}")
-        return Party(id_token.text, name, role,
-                     span=self.span(start, self.prev()))
+        return Party(party_id, name, role, span=self.span(start))
 
     def parse_slo(self) -> Slo:
         start = self.expect("slo")
-        id_token = self.expect_ident("an slo id")
-        self.declare_id(id_token)
+        slo_id = self.declare_id("an slo id")
         self.expect("on")
-        if self.peek().text == APP_TARGET:
-            target = self.advance().text
+        if self.texts[self.pos] == APP_TARGET:
+            target = self.texts[self.expect(APP_TARGET)]
         else:
-            target = self.expect_ident("an slo target (app or an entity id)").text
+            target = self.expect_ident("an slo target (app or an entity id)")
         self.expect("{")
         constraints = [self.parse_constraint()]
-        while (token := self.tokens[self.pos]).type == "ident" and token.text not in KEYWORDS:
+        while self.at_clause():
             constraints.append(self.parse_constraint())
         self.expect("}")
-        return Slo(id_token.text, target, tuple(constraints),
-                   span=self.span(start, self.prev()))
+        return Slo(slo_id, target, tuple(constraints), span=self.span(start))
 
     def parse_constraint(self) -> MetricConstraint:
-        metric_token = self.expect_ident("a metric name")
-        comparator = self.expect_choice("op", COMPARATORS, "a comparator").text
+        start = self.pos
+        metric = self.expect_ident("a metric name")
+        comparator = self.expect_choice("op", COMPARATORS, "a comparator")
         value = self.parse_value()
-        return MetricConstraint(
-            metric_token.text, comparator, value,
-            span=self.span(metric_token, self.prev()),
-        )
+        return MetricConstraint(metric, comparator, value, span=self.span(start))
 
     def parse_activity(self) -> WorkflowActivity:
         start = self.expect("activity")
-        id_token = self.expect_ident("an activity id")
-        self.declare_id(id_token)
+        activity_id = self.declare_id("an activity id")
         self.expect(":")
-        kind = self.expect_choice("name", ACTIVITY_KINDS, "an activity kind").text
+        kind = self.expect_choice("name", ACTIVITY_KINDS, "an activity kind")
         self.expect("requires")
-        required = [self.expect_ident("a service id").text]
-        while self.peek().text == ",":
-            self.advance()
-            required.append(self.expect_ident("a service id").text)
-        return WorkflowActivity(id_token.text, kind, tuple(required),
-                                span=self.span(start, self.prev()))
+        required = [self.expect_ident("a service id")]
+        while self.texts[self.pos] == ",":
+            self.pos += 1
+            required.append(self.expect_ident("a service id"))
+        return WorkflowActivity(activity_id, kind, tuple(required), span=self.span(start))
 
     def parse_config_block(self) -> list[ConfigParam]:
         self.expect("{")
         params: list[ConfigParam] = []
-        while (token := self.tokens[self.pos]).type == "ident" and token.text not in KEYWORDS:
-            term_token = self.expect_ident("a configuration term")
+        while self.at_clause():
+            start = self.pos
+            term = self.expect_ident("a configuration term")
             self.expect("=")
             value = self.parse_value()
-            params.append(ConfigParam(term_token.text, value,
-                                      span=self.span(term_token, self.prev())))
+            params.append(ConfigParam(term, value, span=self.span(start)))
         self.expect("}")
         return params
 
@@ -431,18 +442,16 @@ class _Parser:
         """A ``service`` or ``resource`` block; a service alone names the
         resource it is deployed ``on``."""
         start = self.expect(keyword)
-        id_token = self.expect_ident(f"a {keyword} id")
-        self.declare_id(id_token)
+        owner_id = self.declare_id(f"a {keyword} id")
         self.expect(":")
-        kind = self.expect_choice("name", kinds, f"a {keyword} kind").text
+        kind = self.expect_choice("name", kinds, f"a {keyword} kind")
         deployed_on = ()
         if keyword == "service":
             self.expect("on")
-            deployed_on = (self.expect_ident("a resource id").text,)
+            deployed_on = (self.expect_ident("a resource id"),)
         config = tuple(self.parse_config_block())
         owner = ServiceSpec if deployed_on else InfraResourceSpec
-        return owner(id_token.text, kind, *deployed_on, config=config,
-                     span=self.span(start, self.prev()))
+        return owner(owner_id, kind, *deployed_on, config=config, span=self.span(start))
 
 
 def parse(text: str | bytes) -> SlaDocument:
@@ -456,7 +465,7 @@ def parse(text: str | bytes) -> SlaDocument:
     """
     decoded = _decode(text)
     try:
-        return _Parser(_tokenize(decoded)).parse_document()
+        return _Parser(decoded).parse_document()
     except ValueError as exc:
         # Defensive: model constructors reject some malformed values before
         # the parser sees them; surface those as ordinary parse errors.

@@ -1,6 +1,6 @@
 """Semantic validation of SLA documents.
 
-Rules carry stable codes (V001 through V012) so tooling can filter or
+Rules carry stable codes (V001 through V013) so tooling can filter or
 suppress them; the codes never change meaning across releases.  Every run
 returns the full list of findings, ordered by source position, with the
 empty list meaning the document conforms.
@@ -197,16 +197,29 @@ def validate(doc: SlaDocument, catalog: Catalog | None = None) -> list[Diagnosti
     for _, concept, slo in owned_slos(doc):
         check_slo(slo, concept)
 
-    # V009: unknown configuration terms are tolerated but flagged.
+    # V009: unknown configuration terms are tolerated but flagged.  V013: a
+    # known one's value must fit it, by canonical_factor as a constraint's does.
     for entity in (*doc.services, *doc.resources):
         for param in entity.config:
-            if catalog.lookup(param.term, entity.kind) is None:
+            entry = catalog.lookup(param.term, entity.kind)
+            if entry is None:
                 report(
                     "V009", WARNING,
                     f"configuration term '{param.term}' is not defined for "
                     f"{entity.kind}",
                     param.span, entity.id,
                 )
+                continue
+            try:
+                canonical_factor(entry, param.term, "==", param.value, "configuration value")
+            except TypeMismatchError:
+                report("V013", ERROR, f"configuration term '{param.term}' is "
+                       f"{entry.value_type} but the value is {param.value.tag}",
+                       param.span, entity.id)
+            except UnitMismatchError:
+                report("V013", ERROR, f"unit '{param.value.unit}' of configuration term "
+                       f"'{param.term}' is not convertible to '{entry.canonical_unit}'",
+                       param.span, entity.id)
 
     # V012: declared infrastructure nothing is deployed on.
     deployed_targets = {s.deployed_on for s in doc.services}

@@ -20,7 +20,7 @@ from iotsla import (
     rank_offers,
     satisfies_capability,
 )
-from iotsla import matcher
+from iotsla import constraints, matcher
 from iotsla.matcher import render_report_table, score_offer
 from iotsla.vocabulary import Catalog
 
@@ -233,6 +233,25 @@ def test_rank_offers_resolves_each_requirement_once(catalog, monkeypatch):
     weights = {"latency": 2, "availability": 3}
     rank_offers(reqs, offers, weights, catalog)
     assert len(calls) <= len(reqs) + len(weights)
+
+
+def test_rank_offers_fits_each_capability_once(catalog, monkeypatch):
+    # the fit rule runs once for each requirement's bound and once for each
+    # capability an offer states, not once for each (requirement, offer) pair
+    calls = []
+    fit = constraints.canonical_factor
+
+    def counting(*args):
+        calls.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(constraints, "canonical_factor", counting)
+    monkeypatch.setattr(matcher, "canonical_factor", counting)
+    reqs = [_constraint("latency", "<=", 5), _constraint("availability", ">=", 99),
+            _constraint("throughput", ">=", 1, "kb_per_s"), _constraint("latency", "<", 9)]
+    offers = [_offer(latency=4), _offer(latency=6, availability=100), _offer()] * 4
+    rank_offers(reqs, offers, None, catalog)
+    assert len(calls) <= len(reqs) + sum(len(o.capabilities) for o in offers)
 
 
 @pytest.mark.parametrize("constraint,error", [

@@ -23,11 +23,15 @@ from iotsla import (
     check_constraint_against_value,
     end_to_end_response,
     monitor_document,
+    parse,
     rank_offers,
     satisfies_capability,
     validate,
 )
+from iotsla.constraints import canonical_factor
 from iotsla.model import APP_TARGET, InfraResourceSpec, Party, ServiceSpec, Slo, build_document
+
+from support import fixture_text
 
 # an ingestion term of each value type, with a value that fits it
 FITTING = {
@@ -128,3 +132,42 @@ def test_v007_is_exactly_the_unit_error_every_layer_raises(catalog, term, unit):
     assert _refuses_the_unit(rank_offers, [constraint], [offer], None, catalog) is v007
     assert _refuses_the_unit(monitor_document, document, [], None, catalog) is v007
     assert _refuses_the_unit(end_to_end_response, document, [], None, catalog) is v007
+
+
+# configuration lines added to rhms.sla under the header of the owner named,
+# and whether they fit: text on a numeric hz term, a bytes unit on a
+# frequency (through an alias) and a boolean on a count term do not
+CONFIG_CASES = [
+    ("service hb_sensing", 'sampling_rate = "fast"', False),
+    ("service hb_sensing", "sampling_frequency = 5 gb", False),
+    ("resource hb_sensor", "number_of_devices = true", False),
+    ("service hb_sensing", "sampling_rate = 2 khz", True),
+    ("service hb_sensing", "sampling_frequency = 7", True),
+    ("resource hb_sensor", "number_of_devices = 40", True),
+]
+
+
+@pytest.mark.parametrize("owner,line,fits", CONFIG_CASES,
+                         ids=[line for _, line, _ in CONFIG_CASES])
+def test_v013_is_exactly_a_configuration_value_the_fit_rule_refuses(catalog, owner, line,
+                                                                     fits):
+    text = fixture_text("rhms.sla")
+    header = next(h for h in text.splitlines() if h.startswith(owner + " "))
+    document = parse(text.replace(header + "\n", f"{header}\n  {line}\n"))
+    entity = next(e for e in (*document.services, *document.resources)
+                  if e.id == owner.split()[1])
+    param = entity.config[0]
+    entry = catalog.lookup(param.term, entity.kind)
+    try:
+        canonical_factor(entry, param.term, "==", param.value, "configuration value")
+        refused = False
+    except (TypeMismatchError, UnitMismatchError):
+        refused = True
+    assert refused is not fits
+    diagnostics = validate(document, catalog)
+    assert [d.code for d in diagnostics] == ([] if fits else ["V013"])
+    if not fits:
+        (diagnostic,) = diagnostics
+        assert (diagnostic.subject, diagnostic.span) == (entity.id, param.span)
+        assert f"configuration term '{param.term}'" in diagnostic.message
+        assert "metric" not in diagnostic.message

@@ -1,4 +1,4 @@
-"""Semantic validation rules V001 through V012."""
+"""Semantic validation rules V001 through V013."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from iotsla.validator import ERROR, WARNING, compatibility, format_diagnostic
 
 from support import fixture_text
 
-ALL_CODES = [f"V{n:03d}" for n in range(1, 13)]
+ALL_CODES = [f"V{n:03d}" for n in range(1, 14)]
 WARNING_CODES = {"V009", "V010", "V012"}
 
 
