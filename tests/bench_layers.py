@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python tests/bench_layers.py [--scale N] [--runs K] [--out DIR] [--layers a,b]
+    python tests/bench_layers.py [--scale N] [--runs K] [--out DIR]
 
 Each layer runs on seeded input from ``support.py``'s generators, built
 from agreements of N, 4N and 16N services (N = 24 by default, so the
@@ -12,8 +12,10 @@ DIR (default: the repository root).  It records the sizes, the median
 times, the growth exponent (the least-squares slope of log time against
 log size: 1 is linear), the number of Python calls cProfile counts at each
 size, and what the times depend on: the Python version, the number of
-CPUs, the commit, the bytecode state and the state of the cyclic garbage
-collector.
+CPUs, the commit, a digest of the ``src/`` files measured (which tells a
+working tree from its commit), the bytecode state and the state of the
+cyclic garbage collector.  Every layer runs each time, so a run on any
+commit that has this script gives the same files to compare.
 
 The script only measures: it exits non-zero when a layer raises, never
 because of a time.  The package is imported from ``src/`` next to this
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import gc
+import hashlib
 import json
 import math
 import os
@@ -41,7 +44,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 import iotsla  # noqa: E402
-from iotsla import parser  # noqa: E402
 
 from support import gen_offer_texts, gen_scaled_agreement, gen_scaled_telemetry  # noqa: E402
 
@@ -61,11 +63,6 @@ def _requirements(doc) -> list:
 
 # Each input builder takes the number of services and gives (the size of
 # the input, the call to time).
-def _tokenize(services):
-    text, _ = _agreement(services)
-    return len(text), lambda: parser._scan(text)
-
-
 def _parse(services):
     text, _ = _agreement(services)
     return len(text), lambda: iotsla.parse(text)
@@ -117,7 +114,6 @@ def _monitor_fold(services):
 
 # layer -> (what its size counts, what it runs, its input builder)
 LAYERS = {
-    "tokenize": ("agreement bytes", "parser._scan over the agreement text", _tokenize),
     "parse": ("agreement bytes", "iotsla.parse: tokenize, parse and build", _parse),
     "validate": ("agreement bytes", "iotsla.validate on the parsed agreement", _validate),
     "serialize": ("agreement bytes", "iotsla.serialize on the parsed agreement", _serialize),
@@ -169,6 +165,14 @@ def _git(*args: str) -> str | None:
     return done.stdout.strip() if done.returncode == 0 else None
 
 
+def src_digest() -> str:
+    """SHA-256 over the path and bytes of each file under ``src/``, in path order."""
+    digest = hashlib.sha256()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        digest.update(str(path.relative_to(ROOT)).encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def environment() -> dict:
     """What the times depend on besides the code."""
     modules = [m for name, m in sys.modules.items() if name.startswith("iotsla")]
@@ -181,6 +185,7 @@ def environment() -> dict:
         "nproc": os.cpu_count(),
         "commit": _git("rev-parse", "HEAD"),
         "src_modified": None if status is None else bool(status),
+        "src_sha256": src_digest(),
         "bytecode": {
             "dont_write_bytecode": sys.dont_write_bytecode,
             "pycache_prefix": sys.pycache_prefix,
@@ -222,17 +227,11 @@ def main(argv: list[str] | None = None) -> int:
     options.add_argument("--runs", type=int, default=7, help="timed runs per size (default 7)")
     options.add_argument("--out", type=Path, default=ROOT,
                          help="directory for the BENCH_<layer>.json files")
-    options.add_argument("--layers", default=",".join(LAYERS),
-                         help="comma-separated layers to time (default: all)")
     args = options.parse_args(argv)
     if args.scale < 1 or args.runs < 1:
         options.error("--scale and --runs must be at least 1")
-    layers = args.layers.split(",")
-    unknown = sorted(set(layers) - set(LAYERS))
-    if unknown:
-        options.error(f"unknown layers: {', '.join(unknown)}")
     args.out.mkdir(parents=True, exist_ok=True)
-    for layer in layers:
+    for layer in LAYERS:
         result = measure(layer, args.scale, args.runs)
         path = args.out / f"BENCH_{layer}.json"
         path.write_text(json.dumps(result, indent=2) + "\n")
