@@ -12,6 +12,7 @@ silently mix with wall-clock milliseconds.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from collections import namedtuple
@@ -46,8 +47,11 @@ __all__ = [
     "decimal_repr",
 ]
 
-# Comparators accepted in constraints, in source form.
-COMPARATORS = ("<", "<=", ">", ">=", "==")
+# Comparators accepted in constraints, in source form, each with the
+# function that applies it: the one statement of what each one means.
+OPERATORS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+             "==": operator.eq}
+COMPARATORS = tuple(OPERATORS)
 
 # Value tags a TypedValue may carry.
 VALUE_TAGS = ("numeric", "boolean", "enumerated", "text")
@@ -229,17 +233,11 @@ def normalize_unit(value: TypedValue, target_unit: str) -> TypedValue:
 
 
 def _compare(comparator: str, left: Magnitude, right: Magnitude) -> bool:
-    if comparator == "<":
-        return left < right
-    if comparator == "<=":
-        return left <= right
-    if comparator == ">":
-        return left > right
-    if comparator == ">=":
-        return left >= right
-    if comparator == "==":
-        return left == right
-    raise ValueError(f"unknown comparator: {comparator!r}")
+    try:
+        compare = OPERATORS[comparator]
+    except (KeyError, TypeError):  # TypeError: an unhashable comparator
+        raise ValueError(f"unknown comparator: {comparator!r}") from None
+    return compare(left, right)
 
 
 def type_mismatch(entry, metric: str, comparator: str, value: TypedValue) -> str | None:

@@ -15,7 +15,7 @@ ambiguous.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
 from typing import Iterable, Iterator, Union
 
@@ -282,11 +282,11 @@ def build_document(
         else:
             unattached.append(slo)
 
-    services, resources = (
-        tuple(replace(owner, slos=owner.slos + tuple(per_target[owner.id]))
-              if owner.id in per_target else owner for owner in owners)
-        for owners in (services, resources)
-    )
+    # an owner with SLOs is rebuilt once, by its own constructor, span and all
+    services = tuple(type(s)(s.id, s.kind, s.deployed_on, s.slos + tuple(per_target[s.id]),
+                             s.config, s.span) if s.id in per_target else s for s in services)
+    resources = tuple(type(r)(r.id, r.kind, r.slos + tuple(per_target[r.id]), r.config, r.span)
+                      if r.id in per_target else r for r in resources)
 
     return SlaDocument(
         title=title,

@@ -6,19 +6,20 @@ width 60), so every record influences exactly one window.  A window with
 no samples for a metric produces no verdict: missing telemetry is a
 coverage problem, reported separately, never an SLO breach.
 
-Evaluation is one fold over the records.  An index built once per call
-maps each target to its concept and each (target, term) to the
-constraints watching it, with each numeric bound in canonical units.  Each
-record is resolved by dictionary lookup, put into canonical units at most
-once (one factor per unit pair and call) and folded into one exact
-accumulator per (target, term, window); time-family samples also update
-each requiring activity's per-window maximum.  In a document, a numeric
-application constraint whose term resolves, under any alias, to
-end-to-end response time is checked against the sum of those maxima,
-written as the window's one sample of that constraint; any other term is
-sampled.  Constraints are checked afterwards, in one loop, once per window
-with samples: O(records + windows × constraints).  The accumulators merge
-in any order, so results do not depend on record order.
+Evaluation is one fold over the records.  An index, which monitor_document
+keeps while given the same document and catalog, maps each target to its
+concept and each (target, term) to the constraints watching it, with each
+numeric bound in canonical units and its comparison.  Each record is
+resolved by dictionary lookup, put into canonical units at most once (one
+factor per unit pair and call) and folded into one exact accumulator per
+(target, term, window); time-family samples also update each requiring
+activity's per-window maximum.  In a document, a numeric application
+constraint whose term resolves, under any alias, to end-to-end response
+time is checked against the sum of those maxima, written as the window's
+one sample of that constraint; any other term is sampled.  Constraints
+are checked afterwards, in one loop, once per window with samples:
+O(records + windows × constraints).  The accumulators merge in any order,
+so results do not depend on record order.
 
 Records keep exact Fractions, and the fold reads each as its integer
 (numerator, denominator) pair.  Samples, bounds and window aggregates are
@@ -55,7 +56,7 @@ from math import lcm
 from typing import Callable, Iterable
 
 from .constraints import (
-    COMPARABLE_TAGS, DECIMAL_RE, TypedValue, _compare, canonical_bound, exact_number, unit_factor,
+    COMPARABLE_TAGS, DECIMAL_RE, OPERATORS, TypedValue, canonical_bound, exact_number, unit_factor,
 )
 from .errors import DomainError, EmptyWindowError, IncompatibleUnitsError, TelemetryFormatError
 from .jsonio import _constraint_dict, _value_fields
@@ -201,7 +202,7 @@ def parse_telemetry(source: str | Iterable[str]) -> tuple[list[TelemetryRecord],
         lines = (line.rstrip("\n").rstrip("\r") for line in source)
     records: list[TelemetryRecord] = []
     skipped = 0
-    record_line = _RECORD_LINE_RE.fullmatch
+    record_line, new = _RECORD_LINE_RE.fullmatch, tuple.__new__
     for line_no, line in enumerate(lines, start=1):
         match = record_line(line)
         if match is None:
@@ -216,15 +217,17 @@ def parse_telemetry(source: str | Iterable[str]) -> tuple[list[TelemetryRecord],
             timestamp = -1
         if timestamp < 0:
             _check_framing(line, line_no)  # raises: the timestamp is bad or negative
+        # The match, int() and the check above proved what the constructors
+        # check: a timestamp >= 0 and, from exact_number, a Fraction.
         if word is None:
             try:
-                value = TypedValue("numeric", exact_number(numeral), unit)
+                value = new(TypedValue, ("numeric", exact_number(numeral), unit))
             except ValueError:  # more digits than exact_number takes
                 skipped += 1
                 continue
         else:
             value = _BOOLEANS[word] if word in _BOOLEANS else TypedValue.text(word)
-        records.append(TelemetryRecord(timestamp, target_id, metric, value))
+        records.append(new(TelemetryRecord, (timestamp, target_id, metric, value)))
     return records, skipped
 
 
@@ -271,10 +274,12 @@ class _Index:
     """Routes for records and the constraints watching them, built once.
 
     ``homes``: record target -> (home target, concept), one home for ``app``
-    and the document id; ``watchers``: (home, term) -> [(position, slo,
-    constraint, entry, bound)] in declaration order, where ``position``
-    numbers every constraint of the attached SLOs in ``owned`` and
-    ``bound`` is :func:`canonical_bound`'s as (numerator, denominator).
+    and the document id; ``slo_ids``: the attached SLOs of ``owned``, in
+    order; ``watchers``: (home, term) -> [(position, slo, constraint,
+    entry, bound, compare)] in declaration order, where ``position``
+    numbers every constraint of the attached SLOs, ``bound`` is
+    :func:`canonical_bound`'s as (numerator, denominator) and ``compare``
+    applies the constraint's comparator.
     Given ``doc``, the app home's numeric constraints whose term, under any
     alias, is end-to-end response time are filed under ``_SUMMED``, to be
     checked against the sum of the activities' maxima; any other index
@@ -288,8 +293,9 @@ class _Index:
                  doc: SlaDocument | None = None):
         self.catalog, self.homes = catalog, homes
         self.watchers: dict[tuple[str, str | None], list] = {}
+        owned = [item for item in owned if item[1] is not None]  # None: an unattached SLO
+        self.slo_ids = [slo.id for _, _, slo in owned]
         constraints = ((home, concept, slo, constraint) for home, concept, slo in owned
-                       if concept is not None  # None: an unattached SLO
                        for constraint in slo.constraints)
         for position, (home, concept, slo, constraint) in enumerate(constraints):
             entry = catalog.lookup(constraint.metric, concept)
@@ -302,7 +308,8 @@ class _Index:
             bound = canonical_bound(constraint, entry)
             if bound is not None:
                 bound = bound.as_integer_ratio()
-            self.watchers.setdefault(key, []).append((position, slo, constraint, entry, bound))
+            self.watchers.setdefault(key, []).append(
+                (position, slo, constraint, entry, bound, OPERATORS[constraint.comparator]))
         self.activities: tuple[str, ...] = ()
         self.members: dict[str, list[int]] = {}
         if _SUMMED in self.watchers:
@@ -326,6 +333,11 @@ class _Index:
         return entry, watched, members
 
 
+# monitor_document's last (doc, catalog, index), keys matched by identity:
+# one tuple, read once and rebound whole, so no call sees a mixed entry.
+_last_index: tuple = (None, None, None)
+
+
 def _document_index(doc: SlaDocument, catalog: Catalog) -> _Index:
     homes = {r.id: (r.id, r.kind) for r in doc.resources}
     homes.update((s.id, (s.id, s.kind)) for s in doc.services)
@@ -343,13 +355,17 @@ def _accumulate(states: dict, key: tuple, entry: VocabularyEntry, value: TypedVa
     canonical units (booleans are counted only for ``ratio``).  Otherwise
     it maps each comparable value to its earliest timestamp.
     """
+    state = states.get(key)
     if entry.value_type != "numeric":
         if value.tag in COMPARABLE_TAGS[entry.value_type]:
-            firsts = states.setdefault(key, {})
-            firsts[value] = min(timestamp, firsts.get(value, timestamp))
+            if state is None:
+                state = states[key] = {}
+            state[value] = min(timestamp, state.get(value, timestamp))
     elif sample is not None:
         num, den = sample
-        state = states.setdefault(key, [num, den, 0, 0, 0])
+        if state is None:
+            states[key] = [num, den, 1, 0, 0]
+            return
         aggregator = entry.aggregator
         if not state[2] or (aggregator == "max" and num * state[1] > state[0] * den) or (
                 aggregator == "min" and num * state[1] < state[0] * den):
@@ -361,7 +377,8 @@ def _accumulate(states: dict, key: tuple, entry: VocabularyEntry, value: TypedVa
                 state[0], state[1] = _plus(state[0], state[1], num, den)
         state[2] += 1
     elif value.tag == "boolean" and entry.aggregator == "ratio":
-        state = states.setdefault(key, [0, 1, 0, 0, 0])
+        if state is None:
+            state = states[key] = [0, 1, 0, 0, 0]
         state[3] += value.value
         state[4] += 1
 
@@ -384,18 +401,6 @@ def _first_offender(constraint: MetricConstraint,
                key=lambda v: (firsts[v], str(v.value), v.tag), default=None)
 
 
-def _breach(constraint: MetricConstraint, entry: VocabularyEntry,
-            bound: tuple[int, int], num: int, den: int) -> TypedValue | None:
-    """num/den, a window's figure in ``entry``'s canonical unit, as the
-    observed value when it breaks ``constraint``, else None.  num *
-    bound_den against bound_num * den compares it with the ``bound`` from
-    :func:`canonical_bound` exactly in ints.
-    """
-    if _compare(constraint.comparator, num * bound[1], bound[0] * den):
-        return None
-    return TypedValue.numeric(Fraction(num, den), entry.canonical_unit)
-
-
 def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationWindow):
     """Read the records once, then check each watcher once per window.
 
@@ -410,17 +415,17 @@ def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationW
     maxima: dict[int, list[tuple[int, int] | None]] = {}
     seen = skipped = 0
     width = window.width
-    for record in records:
+    for timestamp, target_id, metric, value in records:
         seen += 1
-        key = (record.target_id, record.metric)
+        key = (target_id, metric)
         route = routes.get(key, False)
         if route is False:
-            route = routes[key] = index.route(*key)
+            route = routes[key] = index.route(target_id, metric)
         if route is None:
             skipped += 1
             continue
         entry, watched, members = route
-        value, slot = record.value, record.timestamp // width
+        slot = timestamp // width
         sample = None  # the value in canonical units as (num, den), den > 0
         if value.tag == "numeric" and (watched or members):
             sample = value.value.as_integer_ratio()
@@ -435,7 +440,7 @@ def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationW
                 sample = None if factor is None else (
                     sample[0] * factor[0], sample[1] * factor[1])
         if watched:
-            _accumulate(states, (*watched, slot), entry, value, sample, record.timestamp)
+            _accumulate(states, (*watched, slot), entry, value, sample, timestamp)
         if members and sample is not None:
             num, den = sample
             peaks = maxima.get(slot) or maxima.setdefault(slot, [None] * len(index.activities))
@@ -458,24 +463,28 @@ def _fold(index: _Index, records: Iterable[TelemetryRecord], window: EvaluationW
                 num, den = _plus(num, den, *peak)
         states[(*_SUMMED, slot)] = [num, den, 1, 0, 0]
 
-    # A numeric window's aggregate is num/den with den > 0, checked by _breach.
+    # A numeric window's aggregate is num/den with den > 0, compared with a
+    # bound in ints; an observed value is built only for a breach.
     events = []
     for (home, term, slot), state in states.items():
         watchers = index.watchers[home, term]
         entry = watchers[0][3]
-        if entry.value_type == "numeric":
+        numeric = entry.value_type == "numeric"
+        if numeric:
             num, den, samples, trues, booleans = state
             if not samples:  # ratio over boolean samples only
                 num, den = 100 * trues, booleans
             elif entry.aggregator not in ("max", "min", "sum"):  # mean, ratio, none
                 den *= samples
-        for position, slo, constraint, _, bound in watchers:
-            culprit = (_breach(constraint, entry, bound, num, den)
-                       if entry.value_type == "numeric"
-                       else _first_offender(constraint, state))
-            if culprit is not None:
-                event = ViolationEvent(*window.bounds(slot), slo.id, constraint, culprit)
-                events.append((slot, position, event))
+        for position, slo, constraint, _, bound, compare in watchers:
+            if numeric:
+                if compare(num * bound[1], bound[0] * den):
+                    continue
+                culprit = TypedValue.numeric(Fraction(num, den), entry.canonical_unit)
+            elif (culprit := _first_offender(constraint, state)) is None:
+                continue
+            event = ViolationEvent(*window.bounds(slot), slo.id, constraint, culprit)
+            events.append((slot, position, event))
     events.sort(key=lambda item: item[:2])
     return [event for _, _, event in events], gaps, seen, skipped
 
@@ -599,14 +608,20 @@ def monitor_document(
     Returns the violations (ordered by window, then SLO, then metric), the
     coverage gaps found while summing end-to-end response time, and the
     number of records whose target is unknown or whose metric is unknown
-    for the target's concept.
+    for the target's concept.  The index built for ``doc`` and ``catalog``
+    is kept, with both, until a call passes another document or catalog.
     """
+    global _last_index
     if catalog is None:
         catalog = load_builtin_catalog()
-    events, gaps, seen, skipped = _fold(_document_index(doc, catalog), records, _as_window(window))
+    last_doc, last_catalog, index = _last_index
+    if last_doc is not doc or last_catalog is not catalog:
+        index = _document_index(doc, catalog)
+        _last_index = (doc, catalog, index)
+    events, gaps, seen, skipped = _fold(index, records, _as_window(window))
     if not seen:
         gaps.insert(0, CoverageGap(None, None, None, "no telemetry records"))
-    counts = dict.fromkeys((slo.id for home, _, slo in owned_slos(doc) if home is not None), 0)
+    counts = dict.fromkeys(index.slo_ids, 0)
     events.sort(key=lambda e: (e.window_start, e.slo_id, e.constraint.metric))
     for event in events:
         counts[event.slo_id] += 1

@@ -1,4 +1,5 @@
-"""Time each layer of iotsla at three input sizes; write BENCH_<layer>.json.
+"""Time each layer of iotsla at three input sizes, and each command end to
+end; write BENCH_<layer>.json and BENCH_cli.json.
 
 Run from the repository root:
 
@@ -7,19 +8,30 @@ Run from the repository root:
 Each layer runs on seeded input from ``support.py``'s generators, built
 from agreements of N, 4N and 16N services (N = 24 by default, so the
 largest agreement is about 90 KB), and its time at each size is the median
-of K runs (default 7) after one warm-up run.  One file per layer goes to
-DIR (default: the repository root).  It records the sizes, the median
-times, the growth exponent (the least-squares slope of log time against
-log size: 1 is linear), the number of Python calls cProfile counts at each
-size, and what the times depend on: the Python version, the number of
-CPUs, the commit, a digest of the ``src/`` files measured (which tells a
-working tree from its commit), the bytecode state and the state of the
-cyclic garbage collector.  Every layer runs each time, so a run on any
-commit that has this script gives the same files to compare.
+of K runs (default 7) after one warm-up run.  A layer may prepare each run
+outside the timed call, as ``monitor_cold`` parses a fresh agreement.  One
+file per layer goes to DIR (default: the repository root).  It records the
+sizes, the median times, the growth exponent (the least-squares slope of
+log time against log size: 1 is linear), the number of Python calls
+cProfile counts at each size, and what the times depend on: the Python
+version, the number of CPUs, the commit, a digest of the ``src/`` files
+measured (which tells a working tree from its commit), the bytecode state
+and the state of the cyclic garbage collector.  Every layer runs each
+time, so a run on any commit that has this script gives the same files to
+compare.
 
-The script only measures: it exits non-zero when a layer raises, never
-because of a time.  The package is imported from ``src/`` next to this
-directory.
+Then five commands (``validate --json``, ``fmt --check``, ``vocab
+export``, ``match --json`` and ``monitor --json``) each run as their own
+``python -m iotsla`` process on seeded input for 4N services, written to a
+temporary directory, beside ``python -c pass``, the interpreter's floor.  Each
+command's time is the median of K runs after one untimed run, given raw
+and above the floor's median; the runs of all commands and the floor
+interleave, so they share the machine's state.  BENCH_cli.json also
+records whether the child processes could read and write bytecode.
+
+The script only measures: it exits non-zero when a layer raises or a
+command crashes, never because of a time.  The package is imported from
+``src/`` next to this directory.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ import argparse
 import cProfile
 import gc
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -37,6 +50,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -62,7 +76,8 @@ def _requirements(doc) -> list:
 
 
 # Each input builder takes the number of services and gives (the size of
-# the input, the call to time).
+# the input, the call to time), and may add a call that prepares each run
+# outside the timed one.
 def _parse(services):
     text, _ = _agreement(services)
     return len(text), lambda: iotsla.parse(text)
@@ -112,6 +127,18 @@ def _monitor_fold(services):
     return len(records), lambda: iotsla.monitor_document(doc, records, 60, CATALOG)
 
 
+def _monitor_cold(services):
+    text, doc = _agreement(services)
+    records = iotsla.parse_telemetry(gen_scaled_telemetry(random.Random(7), doc, 20 * services))[0]
+    fresh = [doc]
+
+    def parse_again():  # an equal agreement, as an object the monitor has not seen
+        fresh[0] = iotsla.parse(text)
+
+    return len(records), lambda: iotsla.monitor_document(fresh[0], records, 60, CATALOG), \
+        parse_again
+
+
 # layer -> (what its size counts, what it runs, its input builder)
 LAYERS = {
     "parse": ("agreement bytes", "iotsla.parse: tokenize, parse and build", _parse),
@@ -123,22 +150,29 @@ LAYERS = {
                     f"requirements against {OFFERS} offers", _rank_offers),
     "parse_telemetry": ("telemetry bytes", "iotsla.parse_telemetry, 20 lines per service",
                         _parse_telemetry),
-    "monitor_fold": ("records", "iotsla.monitor_document over the parsed records",
+    "monitor_fold": ("records", "iotsla.monitor_document over the parsed records, "
+                     "reusing the index it built for the agreement in the warm-up run",
                      _monitor_fold),
+    "monitor_cold": ("records", "iotsla.monitor_document over the parsed records, on an "
+                     "agreement parsed again before each run, so each run builds its index",
+                     _monitor_cold),
 }
 
 
-def _median_time(run, runs: int) -> float:
-    run()  # the warm-up fills lazy tables
+def _median_time(run, runs: int, prepare=None) -> float:
     times = []
-    for _ in range(runs):
+    for _ in range(runs + 1):  # the first, a warm-up, fills lazy tables
+        if prepare is not None:
+            prepare()
         start = time.perf_counter()
         run()
         times.append(time.perf_counter() - start)
-    return statistics.median(times)
+    return statistics.median(times[1:])
 
 
-def _calls(run) -> int:
+def _calls(run, prepare=None) -> int:
+    if prepare is not None:
+        prepare()
     profile = cProfile.Profile()
     profile.runcall(run)
     return pstats.Stats(profile).total_calls
@@ -173,11 +207,23 @@ def src_digest() -> str:
     return digest.hexdigest()
 
 
+def _current_bytecode(source: Path) -> bool:
+    """True when ``source`` has cached bytecode that this interpreter would
+    use: the magic number, and the source's mtime and size, match."""
+    try:
+        header = Path(importlib.util.cache_from_source(str(source))).read_bytes()[:16]
+    except OSError:
+        return False
+    stat = source.stat()
+    return header[:8] == importlib.util.MAGIC_NUMBER + bytes(4) and header[8:] == (
+        (int(stat.st_mtime) & 0xFFFFFFFF).to_bytes(4, "little")
+        + (stat.st_size & 0xFFFFFFFF).to_bytes(4, "little"))
+
+
 def environment() -> dict:
     """What the times depend on besides the code."""
     modules = [m for name, m in sys.modules.items() if name.startswith("iotsla")]
-    cached = [m for m in modules
-              if getattr(m, "__cached__", None) and Path(m.__cached__).exists()]
+    cached = [m for m in modules if _current_bytecode(Path(m.__file__))]
     status = _git("status", "--porcelain", "--", "src")
     return {
         "python": platform.python_version(),
@@ -190,7 +236,7 @@ def environment() -> dict:
             "dont_write_bytecode": sys.dont_write_bytecode,
             "pycache_prefix": sys.pycache_prefix,
             "modules_loaded": len(modules),
-            "modules_with_cached_bytecode": len(cached),
+            "modules_with_current_bytecode": len(cached),
         },
         "gc": {"enabled": gc.isenabled(), "thresholds": list(gc.get_threshold())},
         "clock": "time.perf_counter",
@@ -202,10 +248,10 @@ def measure(layer: str, scale: int, runs: int) -> dict:
     services = [scale, 4 * scale, 16 * scale]
     sizes, times, calls = [], [], []
     for n in services:
-        size, run = build(n)
+        size, run, *prepare = build(n)
         sizes.append(size)
-        times.append(_median_time(run, runs))
-        calls.append(_calls(run))
+        times.append(_median_time(run, runs, *prepare))
+        calls.append(_calls(run, *prepare))
     return {
         "layer": layer,
         "what": what,
@@ -216,6 +262,89 @@ def measure(layer: str, scale: int, runs: int) -> dict:
         "median_s": times,
         "growth_exponent": growth_exponent(sizes, times),
         "calls": calls,
+        **environment(),
+    }
+
+
+FLOOR = "python -c pass"
+
+
+def _cli_inputs(directory: Path, services: int) -> tuple[dict, dict[str, list[str]]]:
+    """Write seeded inputs for ``services`` services into ``directory``;
+    give their sizes and each command's arguments after ``python -m iotsla``."""
+    text, doc = _agreement(services)
+    telemetry = gen_scaled_telemetry(random.Random(7), doc, 20 * services)
+    offers = gen_offer_texts(random.Random(6), "ingestion", OFFERS)
+    (directory / "agreement.sla").write_text(text, encoding="utf-8")
+    (directory / "agreement.telemetry").write_text(telemetry, encoding="utf-8")
+    for i, offer in enumerate(offers):
+        (directory / f"offer{i}.json").write_text(offer, encoding="utf-8")
+    offer_paths = [f"offer{i}.json" for i in range(len(offers))]
+    sizes = {"agreement_bytes": len(text.encode()), "telemetry_lines": telemetry.count("\n"),
+             "offers": len(offers)}
+    return sizes, {
+        "validate --json": ["validate", "agreement.sla", "--json"],
+        "fmt --check": ["fmt", "--check", "agreement.sla"],
+        "vocab export": ["vocab", "export"],
+        "match --json": ["match", "agreement.sla", *offer_paths, "--json"],
+        "monitor --json": ["monitor", "agreement.sla", "agreement.telemetry", "--json"],
+    }
+
+
+def _run_process(argv: list[str], cwd: str, env: dict) -> float:
+    start = time.perf_counter()
+    done = subprocess.run(argv, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE)
+    elapsed = time.perf_counter() - start
+    # exit 1 is a verdict (diagnostics, violations); anything else is a crash
+    if done.returncode not in (0, 1) or b"Traceback" in done.stderr:
+        raise RuntimeError(f"{argv[1:]} exited {done.returncode}: "
+                           f"{done.stderr.decode(errors='replace')[-2000:]}")
+    return elapsed
+
+
+def _child_bytecode(env: dict) -> dict:
+    """Whether a child process may write bytecode, and how many package
+    modules have current bytecode cached next to their source."""
+    sources = sorted((ROOT / "src" / "iotsla").glob("*.py"))
+    return {
+        "PYTHONDONTWRITEBYTECODE": env.get("PYTHONDONTWRITEBYTECODE"),
+        "PYTHONPYCACHEPREFIX": env.get("PYTHONPYCACHEPREFIX"),
+        "modules": len(sources),
+        "modules_with_current_bytecode": sum(map(_current_bytecode, sources)),
+    }
+
+
+def measure_cli(scale: int, runs: int) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    services = 4 * scale
+    with tempfile.TemporaryDirectory() as directory:
+        sizes, commands = _cli_inputs(Path(directory), services)
+        argvs = {FLOOR: [sys.executable, "-c", "pass"],
+                 **{name: [sys.executable, "-m", "iotsla", *args]
+                    for name, args in commands.items()}}
+        before = _child_bytecode(env)
+        times: dict[str, list[float]] = {name: [] for name in argvs}
+        for _ in range(runs + 1):  # the first round, untimed, may write bytecode
+            for name, argv in argvs.items():
+                times[name].append(_run_process(argv, directory, env))
+        after = _child_bytecode(env)
+    medians = {name: statistics.median(spent[1:]) for name, spent in times.items()}
+    floor = medians.pop(FLOOR)
+    return {
+        "layer": "cli",
+        "what": "python -m iotsla COMMAND, one process per run, beside the floor",
+        "services": services,
+        "inputs": sizes,
+        "runs": runs,
+        "floor": FLOOR,
+        "floor_median_s": floor,
+        "commands": {name: {"arguments": commands[name], "median_s": median,
+                            "above_floor_s": median - floor}
+                     for name, median in medians.items()},
+        "child_bytecode": {"before": before, "after": after},
         **environment(),
     }
 
@@ -239,6 +368,12 @@ def main(argv: list[str] | None = None) -> int:
         growth = result["growth_exponent"]
         print(f"{layer}: {medians} ms at {result['sizes']} {result['size_unit']}, growth "
               f"{'n/a' if growth is None else f'{growth:.2f}'}", flush=True)
+    result = measure_cli(args.scale, args.runs)
+    (args.out / "BENCH_cli.json").write_text(json.dumps(result, indent=2) + "\n")
+    print(f"cli floor ({FLOOR}): {result['floor_median_s'] * 1e3:.1f} ms", flush=True)
+    for name, timing in result["commands"].items():
+        print(f"cli {name}: {timing['median_s'] * 1e3:.1f} ms, "
+              f"{timing['above_floor_s'] * 1e3:.1f} ms above the floor", flush=True)
     return 0
 
 

@@ -299,7 +299,7 @@ def test_criterion_4_validator_fixtures():
     diags = validate(parse(fixture_text("rhms.sla")))
     if diags:
         failures.append(f"reference document has {len(diags)} diagnostics")
-    for number in range(1, 13):
+    for number in range(1, 14):
         code = f"V{number:03d}"
         doc = parse(fixture_text(f"mut_{code.lower()}.sla"))
         got = [d.code for d in validate(doc)]

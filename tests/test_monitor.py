@@ -4,6 +4,8 @@ import copy
 import dataclasses
 import pickle
 import random
+import sys
+import threading
 from decimal import Decimal
 from fractions import Fraction
 
@@ -27,6 +29,7 @@ from iotsla import (
     load_builtin_catalog,
     parse,
 )
+from iotsla import monitor
 from iotsla.constraints import decimal_repr
 from iotsla.monitor import (
     CoverageGap,
@@ -222,6 +225,123 @@ def test_telemetry_records_equal_checked_ones(timestamp, value):
     assert skipped == 0
     assert record == checked and hash(record) == hash(checked)
     assert record.value == expected and hash(record.value) == hash(expected)
+
+
+_TIMESTAMP_TEXTS = st.one_of(
+    st.integers(-10**40, 10**40).map(str),
+    st.integers(4295, 4305).map(lambda digits: "9" * digits),  # about int()'s limit
+)
+_VALUE_TEXTS = st.one_of(
+    st.tuples(st.from_regex(r"[0-9]{1,40}(\.[0-9]{1,40})?", fullmatch=True),
+              st.sampled_from(["", " ms", " percent", " furlong", " time_unit"])).map("".join),
+    st.sampled_from(["true", "false", "True", "yes"]),
+    st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp")),
+            min_size=1, max_size=8),
+)
+
+
+@given(lines=st.lists(st.tuples(_TIMESTAMP_TEXTS, st.sampled_from(["svc", "app"]),
+                                st.sampled_from(["latency", "up"]), _VALUE_TEXTS),
+                      min_size=1, max_size=6))
+@example(lines=[("0", "svc", "latency", "1.50 ms"), ("7", "app", "up", "true"),
+                ("-3", "svc", "latency", "1"), ("9" * 4301, "svc", "latency", "1")])
+def test_parsed_records_rebuild_through_the_checks(lines):
+    # the reader builds values and records without the constructors' checks;
+    # each must pass them and come back equal, of the same type and hash
+    for fields in lines:
+        try:
+            records, _ = parse_telemetry("\t".join(fields))
+        except TelemetryFormatError:
+            digits = fields[0].lstrip("-")
+            assert len(digits) > 4300 or (fields[0].startswith("-") and digits.strip("0"))
+            continue
+        for record in records:
+            rebuilt, value = TelemetryRecord(*record), TypedValue(*record.value)
+            assert rebuilt == record and type(rebuilt) is type(record)
+            assert hash(rebuilt) == hash(record)
+            assert value == record.value and type(value) is type(record.value)
+            assert hash(value) == hash(record.value)
+
+
+def _counting_index(monkeypatch) -> list:
+    built = []
+
+    class Counted(monitor._Index):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(monitor, "_Index", Counted)
+    return built
+
+
+def test_monitor_document_builds_each_index_once(monkeypatch, rhms_text, catalog):
+    built = _counting_index(monkeypatch)
+    doc = parse(rhms_text)
+    records, _ = parse_telemetry(fixture_text("spike.telemetry"))
+    reports = [monitor_document(doc, records, None, catalog) for _ in range(3)]
+    assert len(built) == 1
+    assert reports[0] == reports[1] == reports[2] and reports[0].violations
+    assert monitor_document(doc, records) == reports[0]  # None is the same builtin catalog
+    assert len(built) == 1
+    # an equal document parsed again, then another catalog, each build one more
+    assert monitor_document(parse(rhms_text), records, None, catalog) == reports[0]
+    assert len(built) == 2
+    assert monitor_document(doc, records, None, catalog.merge([])) == reports[0]
+    assert len(built) == 3
+
+
+def test_an_index_that_cannot_be_built_is_not_kept(monkeypatch, catalog):
+    built = _counting_index(monkeypatch)
+    document = parse(fixture_text("mut_v007.sla"))
+    for _ in range(2):
+        with pytest.raises(UnitMismatchError):
+            monitor_document(document, [], None, catalog)
+    assert len(built) == 2
+
+
+def test_concurrent_calls_never_see_another_documents_index(rhms_text, catalog):
+    # the kept entry is one tuple, rebound whole: threads alternating two
+    # agreements, switching often, each get their own agreement's report
+    spike, _ = parse_telemetry(fixture_text("spike.telemetry"))
+    docs = [parse(rhms_text), parse(with_slo(rhms_text, ENCRYPTION_SLO))]
+    records = spike + parse_telemetry(ENCRYPTION_TELEMETRY)[0]
+    expected = [monitor_document(doc, records, None, catalog) for doc in docs]
+    assert expected[0] != expected[1]
+    wrong = []
+
+    def check(turn):
+        for k in range(40):
+            doc = (turn + k) % 2
+            if monitor_document(docs[doc], records, None, catalog) != expected[doc]:
+                wrong.append(doc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=check, args=(turn,)) for turn in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_the_kept_index_outlives_the_other_entry_points(rhms_doc, catalog):
+    # end_to_end_response narrows its own index to the summed constraints;
+    # the index monitor_document keeps must not be that one
+    records, _ = parse_telemetry(fixture_text("spike.telemetry")
+                                 + "170\tnet_svc\tnetwork_delay\t3 time_unit\n")
+    before = monitor_document(rhms_doc, records, None, catalog)
+    assert {event.slo_id for event in before.violations} == {"app_response", "net_quality"}
+    assert end_to_end_response(rhms_doc, records, None, catalog)
+    for slo in rhms_doc.all_slos():
+        evaluate_window(slo, records, None, catalog, concept="application"
+                        if slo.target == "app" else "networking")
+    assert monitor_document(rhms_doc, records, None, catalog) == before
 
 
 def test_blank_lines_skipped():
